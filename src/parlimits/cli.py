@@ -325,8 +325,8 @@ def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> int:
             "per-unit timeline",
             ("unit", "start", "busy", "end", "idle"),
             [(i, s, b, e, d) for i, (s, b, e, d) in enumerate(
-                zip(result.unit_start, result.unit_busy,
-                    result.unit_end, result.unit_idle))],
+                zip(result.unit_start.tolist(), result.unit_busy.tolist(),
+                    result.unit_end.tolist(), result.unit_idle.tolist()))],
         )
     else:
         report.warnings.append(

@@ -80,8 +80,8 @@ class ForecastCurve:
 
 def _log_grid(lo: float, hi: float) -> np.ndarray:
     """Log-spaced values from lo to hi inclusive, SAMPLES_PER_DECADE dense."""
-    if not (0 < lo <= hi):
-        raise ValueError(f"need 0 < lo <= hi, got ({lo!r}, {hi!r})")
+    if not (0 < lo <= hi < math.inf):
+        raise ValueError(f"need 0 < lo <= hi < inf, got ({lo!r}, {hi!r})")
     if lo == hi:
         return np.array([lo])
     decades = math.log10(hi) - math.log10(lo)

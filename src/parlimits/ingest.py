@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -66,10 +67,10 @@ class MachineRecord:
             raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {self.benchmark!r}")
-        if not (self.rmax_gflops > 0):
-            raise ValueError(f"rmax_gflops must be positive, got {self.rmax_gflops!r}")
-        if not (self.rpeak_gflops > 0):
-            raise ValueError(f"rpeak_gflops must be positive, got {self.rpeak_gflops!r}")
+        if not (0 < self.rmax_gflops < math.inf):
+            raise ValueError(f"rmax_gflops must be positive and finite, got {self.rmax_gflops!r}")
+        if not (0 < self.rpeak_gflops < math.inf):
+            raise ValueError(f"rpeak_gflops must be positive and finite, got {self.rpeak_gflops!r}")
         # Allow a hair of rounding slack, mirroring the efficiency clamp.
         if self.rmax_gflops > self.rpeak_gflops * (1.0 + EFFICIENCY_SLACK):
             raise ValueError(
@@ -147,7 +148,11 @@ def _resolve_header(header: Sequence[str],
                     aliases: Mapping[str, str] | None) -> dict[str, str]:
     """Map canonical column -> actual column, or fail with what is missing."""
     aliases = aliases or {}
-    actual = {aliases.get(col, col): col for col in CANONICAL_COLUMNS}
+    sources = [aliases.get(col, col) for col in CANONICAL_COLUMNS]
+    shared = sorted({src for src in sources if sources.count(src) > 1})
+    if shared:
+        raise SchemaError(f"several columns are read from the same source column {shared}")
+    actual = dict(zip(sources, CANONICAL_COLUMNS))
     present = set(header)
     missing = [src for src in actual if src not in present]
     if missing:

@@ -38,24 +38,38 @@ _SCALAR_FIELDS = ("sw_pre", "sw_post", "os_pre", "os_post", "access_init", "acce
 _PER_UNIT_FIELDS = ("payload_cycles", "dispatch_cycles", "pd_out_cycles", "pd_in_cycles")
 
 
-def linear_ramp(n_units: int, max_value: float) -> tuple[float, ...]:
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def linear_ramp(n_units: int, max_value: float) -> np.ndarray:
     """Per-unit values rising linearly from 0 (first unit) to max (last).
 
-    With one unit the ramp has not risen yet, so it is (0.0,).
+    Returns a new float64 array; value i is max_value * i / (n_units - 1),
+    rounded once per operation. With one unit the ramp has not risen yet,
+    so it is [0.0].
     """
     if n_units < 1:
         raise ValueError(f"n_units must be >= 1, got {n_units!r}")
     if n_units == 1:
-        return (0.0,)
-    return tuple(max_value * i / (n_units - 1) for i in range(n_units))
+        return np.zeros(1)
+    # A non-finite or overflowing ramp is rejected by TimelineScenario's
+    # validation, with its own message; numpy need not warn about it first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_value * np.arange(n_units, dtype=float) / (n_units - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimelineScenario:
     """Inputs of one dispatched run; everything in cycles, everything >= 0.
 
     Per-unit fields accept either a scalar (applied uniformly) or a
-    sequence of exactly n_units values; they are normalized to tuples.
+    sequence of exactly n_units values. A scalar is stored as a float; a
+    sequence is stored as a read-only float64 copy, so later changes to
+    the caller's list or array do not reach the scenario. Two scenarios
+    are equal when they describe the same values for every unit, whichever
+    form holds them.
     """
 
     n_units: int
@@ -81,20 +95,30 @@ class TimelineScenario:
                 raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
             object.__setattr__(self, name, float(v))
 
-    def _normalize(self, name: str, value: float | Sequence[float]) -> tuple[float, ...]:
+    def _normalize(self, name: str, value: float | Sequence[float]) -> float | np.ndarray:
         if isinstance(value, (int, float)):
             v = float(value)
             if not (math.isfinite(v) and v >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            return (v,) * self.n_units
-        values = np.asarray(value, dtype=float)
+            return v
+        values = np.array(value, dtype=float)
         if values.shape != (self.n_units,):
             raise ValueError(
                 f"{name} has {values.size} entries for {self.n_units} units"
             )
         if not (np.isfinite(values).all() and (values >= 0).all()):
             raise ValueError(f"{name} entries must all be finite and >= 0")
-        return tuple(values.tolist())
+        return _read_only(values)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        n = self.n_units
+        return n == other.n_units and all(
+            np.array_equal(np.broadcast_to(getattr(self, name), n),
+                           np.broadcast_to(getattr(other, name), n))
+            for name in _PER_UNIT_FIELDS + _SCALAR_FIELDS
+        )
 
     @property
     def prefix_cycles(self) -> float:
@@ -116,6 +140,9 @@ class TimingBreakdown:
     payload_cycles_effective is alpha_eff * total: the per-unit payload
     time a perfectly clean run with this alpha would show. It differs
     from the raw payload sum whenever overheads exist.
+
+    unit_start, unit_busy, unit_end and unit_idle are read-only float64
+    arrays of n_units entries each; equality leaves them out.
     """
 
     n_units: int
@@ -123,14 +150,14 @@ class TimingBreakdown:
     payload_cycles: float
     payload_cycles_effective: float
     alpha_eff: AlphaValue
-    unit_start: tuple[float, ...]
-    unit_busy: tuple[float, ...]
-    unit_end: tuple[float, ...]
-    unit_idle: tuple[float, ...]
+    unit_start: np.ndarray = field(compare=False)
+    unit_busy: np.ndarray = field(compare=False)
+    unit_end: np.ndarray = field(compare=False)
+    unit_idle: np.ndarray = field(compare=False)
     shares: dict[str, float] = field(compare=False)
 
     def __post_init__(self) -> None:
-        if self.total_cycles < max(self.unit_end):
+        if self.total_cycles < self.unit_end.max():
             raise ValueError("total_cycles below the last unit's end time")
         drift = abs(sum(self.shares.values()) - 1.0)
         if drift > 1e-9:
@@ -143,10 +170,12 @@ class TimingBreakdown:
 def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     """Run the dispatch timeline and account for every capacity cycle."""
     n = scenario.n_units
-    payload = np.asarray(scenario.payload_cycles, dtype=float)
-    dispatch = np.asarray(scenario.dispatch_cycles, dtype=float)
-    pd_out = np.asarray(scenario.pd_out_cycles, dtype=float)
-    pd_in = np.asarray(scenario.pd_in_cycles, dtype=float)
+    # Uniform values become full contiguous arrays, so that every sum
+    # below reduces the same n values in the same order as an explicit list.
+    payload, dispatch, pd_out, pd_in = (
+        np.ascontiguousarray(np.broadcast_to(getattr(scenario, name), n))
+        for name in _PER_UNIT_FIELDS
+    )
 
     prefix = scenario.prefix_cycles
     suffix = scenario.suffix_cycles
@@ -184,10 +213,10 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         payload_cycles=float(payload.sum()),
         payload_cycles_effective=alpha.alpha * total,
         alpha_eff=alpha,
-        unit_start=tuple(start.tolist()),
-        unit_busy=tuple(busy.tolist()),
-        unit_end=tuple(end.tolist()),
-        unit_idle=tuple(idle.tolist()),
+        unit_start=_read_only(start),
+        unit_busy=_read_only(busy),
+        unit_end=_read_only(end),
+        unit_idle=_read_only(idle),
         shares=shares,
     )
 
@@ -258,13 +287,13 @@ def parse_scenario(text: str, source: str = "<string>") -> TimelineScenario:
         raise ValueError(f"{source}: {exc}") from None
 
 
-def _parse_per_unit(value: str, n_units: int) -> float | tuple[float, ...]:
+def _parse_per_unit(value: str, n_units: int) -> float | np.ndarray:
     if value.startswith("uniform:"):
         return float(value[len("uniform:"):])
     if value.startswith("linear:"):
         return linear_ramp(n_units, float(value[len("linear:"):]))
     if "," in value:
-        return tuple(float(v) for v in value.split(","))
+        return np.array([float(v) for v in value.split(",")])
     return float(value)
 
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from parlimits.cli import DATASET_ENV_VAR, main
 
@@ -84,6 +87,16 @@ def test_analyze_quarantined_rows_become_warnings(tmp_path, capsys):
     assert "row 3" in out
 
 
+def test_analyze_quarantines_infinite_rates(tmp_path, capsys):
+    p = tmp_path / "inf.csv"
+    p.write_text(HEADER + "\nGood,2017,1,HPL,9.0,10.0,64,MPP,None\n"
+                 "Endless,2017,2,HPL,inf,inf,64,MPP,None\n", encoding="utf-8")
+    code, out, _ = run(capsys, "analyze", "--dataset", str(p))
+    assert code == 0
+    assert "quarantined: 1" in out
+    assert "row 3 quarantined" in out
+
+
 def test_analyze_empty_but_valid_dataset_warns(tmp_path, capsys):
     p = tmp_path / "empty.csv"
     p.write_text(HEADER + "\n", encoding="utf-8")
@@ -131,6 +144,20 @@ def test_simulate_json_shape(tmp_path, capsys):
     row = dict(zip(timing["columns"], timing["rows"][0]))
     assert row["n_units"] == 2
     assert row["total_cycles"] == 120.0
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name", ["three_units", "ramp_1000"])
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_simulate_report_matches_golden_bytes(name, fmt, capsys, monkeypatch):
+    # The golden reports name the scenario by its relative path.
+    monkeypatch.chdir(GOLDEN)
+    argv = ["simulate", f"{name}.scn"] + (["--json"] if fmt == "json" else [])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
 
 def test_simulate_omits_per_unit_table_for_wide_machines(tmp_path, capsys):
@@ -245,6 +272,16 @@ def test_forecast_trivial_target_is_input_error(capsys):
                        "--achieved-one-minus-alpha", "1e-7")
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize("rates", [["--target", "inf"],
+                                   ["--target", "1e18", "--rpeak-max", "inf"]])
+def test_forecast_infinite_sweep_ceiling_is_input_error(rates, capsys):
+    code, out, err = run(capsys, "forecast", *rates, "--per-processor-perf", "1e10",
+                         "--achieved-one-minus-alpha", "1e-8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parlimits: input error:") and err.count("\n") == 1
 
 
 # ---- generic behavior ------------------------------------------------------------------

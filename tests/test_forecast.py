@@ -84,6 +84,8 @@ def test_curve_validation_rejects_nonsense():
     with pytest.raises(ValueError):
         virtual_scale(1e9, AlphaValue(1e-6), k_max=10.0, k_min=100.0)
     with pytest.raises(ValueError):
+        virtual_scale(1e9, AlphaValue(1e-6), k_max=math.inf)
+    with pytest.raises(ValueError):
         virtual_scale(-1e9, AlphaValue(1e-6), k_max=1e6)
     with pytest.raises(ValueError):
         ForecastCurve(source="s", samples=((2.0, 1.0), (1.0, 0.5)),

@@ -54,6 +54,8 @@ def test_record_derived_quantities():
     {"rmax_gflops": 1001.0},
     {"cores": 0},
     {"cores": 10.5},
+    {"rpeak_gflops": math.inf},
+    {"rmax_gflops": math.inf, "rpeak_gflops": math.inf},
 ])
 def test_record_rejects_bad_fields(overrides):
     with pytest.raises((ValueError, TypeError)):
@@ -119,6 +121,13 @@ def test_parse_csv_applies_column_aliases():
             "cores,architecture,accelerator\n" + GOOD_ROW + "\n")
     rs = parse_csv(text, source="unit", aliases={"name": "system"})
     assert rs.records[0].name == "Testbox"
+
+
+def test_two_columns_aliased_to_one_source_is_a_schema_error():
+    text = HEADER + "\n" + GOOD_ROW + "\n"
+    with pytest.raises(SchemaError) as err:
+        parse_csv(text, source="unit", aliases={"rank": "year"})
+    assert "year" in str(err.value)
 
 
 def test_duplicate_identity_rejected_at_recordset_level():

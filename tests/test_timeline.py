@@ -28,10 +28,10 @@ def test_two_unit_schedule_matches_hand_calculation():
     out = simulate(two_unit_scenario())
     assert out.n_units == 2
     assert out.total_cycles == 120.0
-    assert out.unit_start == (10.0, 20.0)
-    assert out.unit_end == (110.0, 120.0)
+    assert out.unit_start.tolist() == [10.0, 20.0]
+    assert out.unit_end.tolist() == [110.0, 120.0]
     # serial stagger: every unit waits from its own end to the global end
-    assert out.unit_idle == (10.0, 10.0)
+    assert out.unit_idle.tolist() == [10.0, 10.0]
     assert out.payload_cycles == 200.0
 
 
@@ -49,9 +49,9 @@ def test_two_unit_end_times_include_propagation():
     sc = TimelineScenario(n_units=2, payload_cycles=50.0, dispatch_cycles=10.0,
                           pd_out_cycles=3.0, pd_in_cycles=7.0)
     out = simulate(sc)
-    assert out.unit_start == (10.0, 20.0)
-    assert out.unit_busy == (60.0, 60.0)
-    assert out.unit_end == (70.0, 80.0)
+    assert out.unit_start.tolist() == [10.0, 20.0]
+    assert out.unit_busy.tolist() == [60.0, 60.0]
+    assert out.unit_end.tolist() == [70.0, 80.0]
     assert out.total_cycles == 80.0
 
 
@@ -81,10 +81,10 @@ def test_staircase_with_per_unit_values():
                           payload_cycles=(100.0, 50.0, 10.0),
                           dispatch_cycles=(5.0, 10.0, 15.0))
     out = simulate(sc)
-    assert out.unit_start == (5.0, 15.0, 30.0)
-    assert out.unit_end == (105.0, 65.0, 40.0)
+    assert out.unit_start.tolist() == [5.0, 15.0, 30.0]
+    assert out.unit_end.tolist() == [105.0, 65.0, 40.0]
     assert out.total_cycles == 105.0
-    assert out.unit_idle == (0.0, 105.0 - 10.0 - 50.0, 105.0 - 15.0 - 10.0)
+    assert out.unit_idle.tolist() == [0.0, 105.0 - 10.0 - 50.0, 105.0 - 15.0 - 10.0]
 
 
 def test_prefix_and_suffix_land_on_unit_zero():
@@ -94,10 +94,10 @@ def test_prefix_and_suffix_land_on_unit_zero():
     out = simulate(sc)
     assert sc.prefix_cycles == 12.0
     assert sc.suffix_cycles == 21.0
-    assert out.unit_start == (22.0, 32.0)
+    assert out.unit_start.tolist() == [22.0, 32.0]
     assert out.total_cycles == 132.0 + 21.0
     # unit 0 column also absorbs prefix+suffix, so only the stagger is idle
-    assert out.unit_idle == (153.0 - 10.0 - 100.0 - 33.0, 153.0 - 10.0 - 100.0)
+    assert out.unit_idle.tolist() == [153.0 - 10.0 - 100.0 - 33.0, 153.0 - 10.0 - 100.0]
     assert math.fsum(out.shares.values()) == 1.0
 
 
@@ -120,8 +120,8 @@ def test_ten_million_units_with_light_payload():
 # ---- helpers -----------------------------------------------------------------
 
 def test_linear_ramp_endpoints_and_spacing():
-    assert linear_ramp(5, 8.0) == (0.0, 2.0, 4.0, 6.0, 8.0)
-    assert linear_ramp(1, 8.0) == (0.0,)
+    assert linear_ramp(5, 8.0).tolist() == [0.0, 2.0, 4.0, 6.0, 8.0]
+    assert linear_ramp(1, 8.0).tolist() == [0.0]
     with pytest.raises(ValueError):
         linear_ramp(0, 8.0)
 
@@ -143,6 +143,65 @@ def test_alpha_helper_matches_simulation():
     sc = two_unit_scenario()
     assert alpha_eff_of_timeline(sc).one_minus_alpha == \
         simulate(sc).alpha_eff.one_minus_alpha
+
+
+def test_linear_ramp_matches_the_scalar_loop_bit_for_bit():
+    for n, top in ((2, 1.0), (7, 1e-3), (1001, 2e6 / 3), (4096, 0.1)):
+        reference = [top * i / (n - 1) for i in range(n)]
+        assert linear_ramp(n, top).tolist() == reference
+
+
+# ---- per-unit representation ------------------------------------------------
+
+def _fields(out) -> tuple:
+    arrays = (out.unit_start, out.unit_busy, out.unit_end, out.unit_idle)
+    return (out.n_units, out.total_cycles, out.payload_cycles,
+            out.payload_cycles_effective, out.alpha_eff.one_minus_alpha,
+            out.shares, tuple(a.tobytes() for a in arrays))
+
+
+def test_scalar_and_explicit_forms_simulate_bit_identically():
+    n = 1000
+    scalars = dict(payload_cycles=2e6 / 3, dispatch_cycles=0.1,
+                   pd_out_cycles=7.3, pd_in_cycles=1.9)
+    by_scalar = TimelineScenario(n_units=n, sw_pre=11.0, access_term=0.7, **scalars)
+    by_array = TimelineScenario(n_units=n, sw_pre=11.0, access_term=0.7,
+                                **{k: np.full(n, v) for k, v in scalars.items()})
+    by_list = TimelineScenario(n_units=n, sw_pre=11.0, access_term=0.7,
+                               **{k: [v] * n for k, v in scalars.items()})
+    expected = _fields(simulate(by_scalar))
+    assert _fields(simulate(by_array)) == expected
+    assert _fields(simulate(by_list)) == expected
+
+
+def test_scenario_keeps_its_own_copy_of_per_unit_values():
+    values = [1.0, 2.0, 3.0]
+    array = np.array([4.0, 5.0, 6.0])
+    sc = TimelineScenario(n_units=3, payload_cycles=values, dispatch_cycles=array)
+    values[0] = 99.0
+    array[0] = 99.0
+    assert sc.payload_cycles.tolist() == [1.0, 2.0, 3.0]
+    assert sc.dispatch_cycles.tolist() == [4.0, 5.0, 6.0]
+
+
+def test_stored_per_unit_arrays_are_read_only():
+    sc = TimelineScenario(n_units=3, payload_cycles=[1.0, 2.0, 3.0], dispatch_cycles=1.0)
+    out = simulate(sc)
+    for values in (sc.payload_cycles, out.unit_start, out.unit_busy,
+                   out.unit_end, out.unit_idle):
+        with pytest.raises(ValueError):
+            values[0] = 0.0
+
+
+def test_scenario_equality_compares_every_unit():
+    def scenario(payload):
+        return TimelineScenario(n_units=3, payload_cycles=payload, dispatch_cycles=2.0)
+
+    assert scenario([1.0, 2.0, 3.0]) == scenario(np.array([1.0, 2.0, 3.0]))
+    assert scenario([1.0, 2.0, 3.0]) != scenario([1.0, 2.0, 3.5])
+    assert scenario([4.0, 4.0, 4.0]) == scenario(4.0)
+    assert scenario(4.0) != scenario(5.0)
+    assert scenario(4.0) != TimelineScenario(n_units=4, payload_cycles=4.0, dispatch_cycles=2.0)
 
 
 # ---- invariances --------------------------------------------------------------
@@ -203,11 +262,11 @@ sw_pre = 5
 def test_parse_scenario_full_grammar():
     sc = parse_scenario(GOOD_TEXT, source="demo")
     assert sc.n_units == 3
-    assert sc.payload_cycles == (100.0, 100.0, 100.0)
-    assert sc.dispatch_cycles == (0.0, 7.5, 15.0)
-    assert sc.pd_out_cycles == (1.0, 2.0, 3.0)
+    assert sc.payload_cycles == 100.0
+    assert sc.dispatch_cycles.tolist() == [0.0, 7.5, 15.0]
+    assert sc.pd_out_cycles.tolist() == [1.0, 2.0, 3.0]
     assert sc.sw_pre == 5.0
-    assert sc.pd_in_cycles == (0.0, 0.0, 0.0)
+    assert sc.pd_in_cycles == 0.0
 
 
 @pytest.mark.parametrize("text,fragment", [
