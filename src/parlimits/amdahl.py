@@ -34,6 +34,7 @@ no matter how many units are added, and hitting a target instead requires
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import AlreadyAchievableError, InconsistentMeasurementError, UnboundedLimitError
@@ -44,7 +45,7 @@ from .units import PerformanceFigure, as_flops
 EFFICIENCY_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlphaValue:
     """A parallel fraction stored as its distance from 1.
 
@@ -202,7 +203,11 @@ def rmax_from_record(k: float, per_processor_perf: float | PerformanceFigure,
 
 def amplification(alpha: float | AlphaValue) -> float:
     """1 / (1 - alpha): how far p_max sits above one unit. inf at alpha=1."""
-    oma = _oma(alpha)
+    return _amplify(_oma(alpha))
+
+
+def _amplify(oma: float) -> float:
+    # inf also where 1 / oma overflows, i.e. for subnormal oma.
     return math.inf if oma == 0.0 else 1.0 / oma
 
 
@@ -215,14 +220,15 @@ def _auto_unit(flops: float) -> PerformanceFigure:
     return PerformanceFigure(flops, "flop/s")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmdahlPoint:
     """One machine's measured position in the scaling model.
 
     Fields are mutually redundant on purpose; construction checks that
     they actually cohere (efficiency is speedup/k to 1e-12 relative,
-    alpha_eff reproduces the efficiency through the inverse map) so a
-    point can never carry a contradictory story.
+    alpha_eff reproduces the efficiency through the forward map
+    1 / (1 + (k - 1)(1 - alpha)), which has no cancellation near
+    efficiency 1) so a point can never carry a contradictory story.
     """
 
     k: int
@@ -242,18 +248,19 @@ class AmdahlPoint:
             raise ValueError(
                 f"efficiency {self.efficiency!r} != speedup/k {self.speedup / self.k!r}"
             )
+        oma = self.alpha_eff.one_minus_alpha
         if self.k >= 2:
-            expect = (self.k - self.speedup) / ((self.k - 1.0) * self.speedup)
-            if not _close(self.alpha_eff.one_minus_alpha, expect):
+            expect = 1.0 / (1.0 + (self.k - 1.0) * oma)
+            if not _close(self.efficiency, expect):
                 raise ValueError(
-                    f"alpha_eff {self.alpha_eff.one_minus_alpha!r} inconsistent "
-                    f"with speedup (expected 1-alpha {expect!r})"
+                    f"alpha_eff {oma!r} inconsistent with efficiency "
+                    f"{self.efficiency!r} (it gives {expect!r})"
                 )
         if math.isfinite(self.amplification):
-            if not _close(self.amplification * self.alpha_eff.one_minus_alpha, 1.0):
+            if not _close(self.amplification * oma, 1.0):
                 raise ValueError("amplification inconsistent with alpha_eff")
-        elif self.alpha_eff.one_minus_alpha != 0.0:
-            raise ValueError("infinite amplification requires alpha exactly 1")
+        elif oma * sys.float_info.max >= 1.0:
+            raise ValueError("infinite amplification requires 1 / (1 - alpha) to overflow")
 
     @classmethod
     def from_efficiency(cls, k: int, e: float) -> AmdahlPoint:
@@ -268,7 +275,7 @@ class AmdahlPoint:
             efficiency=e,
             speedup=e * k,
             alpha_eff=a,
-            amplification=amplification(a),
+            amplification=_amplify(a.one_minus_alpha),
         )
 
 

@@ -50,6 +50,9 @@ MAX_UNIT_ROWS = 32
 
 @dataclass
 class ReportTable:
+    """One titled table; each row holds one scalar cell (str, int, float,
+    bool or None) per column, and there is at least one column."""
+
     title: str
     columns: tuple[str, ...]
     rows: list[tuple]
@@ -66,9 +69,8 @@ class ReportDocument:
     warnings: list[str] = field(default_factory=list)
     tables: list[ReportTable] = field(default_factory=list)
 
-    def add_input(self, label: str, text: str) -> None:
-        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        self.inputs.append({"source": label, "sha256": digest})
+    def add_input(self, label: str, sha256: str) -> None:
+        self.inputs.append({"source": label, "sha256": sha256})
 
     def add_table(self, title: str, columns: tuple[str, ...], rows: list[tuple]) -> ReportTable:
         table = ReportTable(title, columns, rows)
@@ -76,7 +78,10 @@ class ReportDocument:
         return table
 
     def to_json(self) -> str:
-        doc = {
+        """json.dumps(doc, sort_keys=True, indent=2) of the report, byte
+        for byte, with the rows of each table encoded in one call of the
+        C encoder instead of the pure-Python one that indent selects."""
+        head = json.dumps({
             "tool": "parlimits",
             "version": self.version,
             "command": self.command,
@@ -84,12 +89,19 @@ class ReportDocument:
             "counts": self.counts,
             "warnings": self.warnings,
             "tables": [
-                {"title": t.title, "columns": list(t.columns),
-                 "rows": [list(r) for r in t.rows]}
+                {"title": t.title, "columns": list(t.columns), "rows": []}
                 for t in self.tables
             ],
-        }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        }, sort_keys=True, indent=2)
+        # Strings never hold an unescaped quote after "rows", and no other
+        # value in the head is an empty list: one piece per table follows.
+        pieces = head.split(_NO_ROWS)
+        out = [pieces[0]]
+        for table, piece in zip(self.tables, pieces[1:]):
+            out.append(_json_rows(table.rows) if table.rows else _NO_ROWS)
+            out.append(piece)
+        out.append("\n")
+        return "".join(out)
 
     def to_text(self) -> str:
         lines = [f"parlimits {self.version}", f"command: {self.command}"]
@@ -106,6 +118,23 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
 
+# In a report, json.dumps(..., indent=2) puts a table's rows 8 spaces deep
+# and their cells 10. Without indent the C encoder runs; its item separator
+# carries the cell indentation, and the row boundaries are rewritten after.
+_NO_ROWS = '"rows": []'
+_CELL_INDENT = "\n" + " " * 10
+_ROWS_ENCODER = json.JSONEncoder(separators=("," + _CELL_INDENT, ": "))
+_ROW_BREAK = "]," + _CELL_INDENT + "["
+
+
+def _json_rows(rows: list[tuple]) -> str:
+    # A newline only comes from a separator (strings escape it) and cells are
+    # scalars, so _ROW_BREAK only ever stands between two rows.
+    body = _ROWS_ENCODER.encode(rows)[2:-2]
+    body = body.replace(_ROW_BREAK, "\n        ],\n        [" + _CELL_INDENT)
+    return '"rows": [\n        [' + _CELL_INDENT + body + "\n        ]\n      ]"
+
+
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
@@ -116,13 +145,20 @@ def _cell(value) -> str:
     return str(value)
 
 
+# Per-column formatters that match _cell on a column of one exact type.
+_FORMATTERS = {float: "{:.5e}".format, int: int.__repr__, str: str}
+
+
 def _render_table(table: ReportTable) -> list[str]:
-    cells = [list(table.columns)] + [[_cell(v) for v in row] for row in table.rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(table.columns))]
-    out = []
-    for row in cells:
-        out.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return out
+    columns = []
+    values_by_column = zip(*table.rows) if table.rows else [()] * len(table.columns)
+    for title, values in zip(table.columns, values_by_column):
+        kinds = set(map(type, values))
+        fmt = _FORMATTERS.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell
+        columns.append([title, *map(fmt, values)])
+    widths = [max(map(len, cells)) for cells in columns]
+    line = "  ".join(f"{{:<{w}}}" for w in widths).format
+    return [line(*cells).rstrip() for cells in zip(*columns)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,11 +228,9 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
         source = os.environ.get(DATASET_ENV_VAR, "")
     if source:
         records = load_csv(source)
-        report.add_input(source, open(source, encoding="utf-8").read())
     else:
-        text = bundled_csv_text()
-        records = parse_csv(text, source="packaged:top500_2017.csv")
-        report.add_input("packaged:top500_2017.csv", text)
+        records = parse_csv(bundled_csv_text(), source="packaged:top500_2017.csv")
+    report.add_input(records.provenance.source, records.provenance.sha256)
 
     report.counts["records"] = len(records.records)
     report.counts["quarantined"] = len(records.rejections)
@@ -302,8 +336,12 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
 # ---- simulate --------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> int:
+    # The digest takes a second read, so that parsing stays the one
+    # load_scenario call that perfbench times as timeline.parse_s.
     scenario = load_scenario(args.scenario)
-    report.add_input(args.scenario, open(args.scenario, encoding="utf-8").read())
+    with open(args.scenario, encoding="utf-8") as fh:
+        digest = hashlib.sha256(fh.read().encode("utf-8")).hexdigest()
+    report.add_input(args.scenario, digest)
     result = simulate(scenario)
 
     report.add_table(

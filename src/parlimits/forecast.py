@@ -207,6 +207,8 @@ def feasibility(target: float | PerformanceFigure,
     if marginal_factor < 1:
         raise ValueError(f"marginal_factor must be >= 1, got {marginal_factor!r}")
     t = as_flops(target)
+    if not math.isfinite(t):
+        raise ValueError(f"target must be finite, got {t!r}")
     p = as_flops(per_processor_perf)
     if t < p:
         raise AlreadyAchievableError(

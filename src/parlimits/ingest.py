@@ -10,6 +10,15 @@ with unusable headers fails as a whole; a row that fails validation is
 quarantined with its row number and reason, never silently dropped, and
 never aborts the rest of the file.
 
+parse_csv reads the text in one pass of csv.reader, with the rules of
+csv.DictReader: blank lines are skipped and not counted as rows, a
+repeated header name refers to its last column, and a quarantined row
+keeps the cells DictReader would have given it (missing cells as None,
+extra cells as a list under the key None). The record set's provenance
+carries the sha256 of the text that was parsed; load_csv reads the file
+once, without newline translation, so that digest is the digest of the
+file's bytes.
+
 Writing uses repr() for the float columns, so a load -> write -> load
 cycle reproduces records bit for bit.
 
@@ -21,8 +30,11 @@ carry no parallelism signal and are skipped with a warning.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -44,7 +56,7 @@ ACCELERATORS = ("None", "GPU", "Coprocessor", "Other")
 _BUNDLED_CSV = "top500_2017.csv"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MachineRecord:
     """One benchmark entry of one machine on one list edition."""
 
@@ -76,8 +88,16 @@ class MachineRecord:
             raise ValueError(
                 f"rmax {self.rmax_gflops!r} exceeds rpeak {self.rpeak_gflops!r}"
             )
+        # A subnormal efficiency has no 1 - alpha that a float can hold.
+        if not self.rmax_gflops / self.rpeak_gflops >= sys.float_info.min:
+            raise ValueError(
+                f"efficiency rmax/rpeak = {self.rmax_gflops / self.rpeak_gflops!r} "
+                "is below the smallest normal float"
+            )
         if not isinstance(self.cores, int) or self.cores < 1:
             raise ValueError(f"cores must be an integer >= 1, got {self.cores!r}")
+        if self.cores > sys.float_info.max:
+            raise ValueError("cores exceeds the float range")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(
                 f"architecture must be one of {ARCHITECTURES}, got {self.architecture!r}"
@@ -108,10 +128,15 @@ class RejectedRow:
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a record set came from and when it was materialized."""
+    """Where a record set came from and when it was materialized.
+
+    sha256 is the hex digest of the UTF-8 encoding of exactly the text
+    that was parsed; for load_csv, that is the file's bytes.
+    """
 
     source: str
     loaded_at: str
+    sha256: str
 
 
 @dataclass(frozen=True)
@@ -162,55 +187,72 @@ def _resolve_header(header: Sequence[str],
     return {canon: src for src, canon in actual.items()}
 
 
-def _parse_row(raw: Mapping[str, str], colmap: Mapping[str, str]) -> MachineRecord:
-    def cell(canon: str) -> str:
-        value = raw.get(colmap[canon])
-        if value is None:
-            raise ValueError(f"row is short a value for {colmap[canon]!r}")
-        return value.strip()
+def _as_int(text: str, column: str) -> int:
+    text = text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{column}: {text!r} is not an integer") from None
 
-    def as_int(canon: str) -> int:
-        text = cell(canon)
-        try:
-            return int(text)
-        except ValueError:
-            raise ValueError(f"{colmap[canon]}: {text!r} is not an integer") from None
 
-    def as_float(canon: str) -> float:
-        text = cell(canon)
-        try:
-            return float(text)
-        except ValueError:
-            raise ValueError(f"{colmap[canon]}: {text!r} is not a number") from None
+def _as_float(text: str, column: str) -> float:
+    text = text.strip()
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{column}: {text!r} is not a number") from None
 
-    return MachineRecord(
-        name=cell("name"),
-        year=as_int("year"),
-        rank=as_int("rank"),
-        benchmark=cell("benchmark"),
-        rmax_gflops=as_float("rmax_gflops"),
-        rpeak_gflops=as_float("rpeak_gflops"),
-        cores=as_int("cores"),
-        architecture=cell("architecture"),
-        accelerator=cell("accelerator"),
-    )
+
+_CONVERTERS = {"year": _as_int, "rank": _as_int, "cores": _as_int,
+               "rmax_gflops": _as_float, "rpeak_gflops": _as_float}
+
+
+def _reject_short_row(row: Sequence[str], index: Sequence[int],
+                      columns: Sequence[str]) -> None:
+    """Raise for the first cell of a short row, in canonical order, that is
+    bad or missing."""
+    for canon, i, column in zip(CANONICAL_COLUMNS, index, columns):
+        if i >= len(row):
+            raise ValueError(f"row is short a value for {column!r}")
+        if canon in _CONVERTERS:
+            _CONVERTERS[canon](row[i], column)
 
 
 def parse_csv(text: str, source: str = "<string>",
               aliases: Mapping[str, str] | None = None) -> RecordSet:
     """Parse CSV text into a RecordSet; bad rows land in rejections."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None:
         raise SchemaError(f"{source}: file is empty, no header present")
-    colmap = _resolve_header(reader.fieldnames, aliases)
+    colmap = _resolve_header(header, aliases)
+    columns = [colmap[canon] for canon in CANONICAL_COLUMNS]
+    # A repeated header name refers to its last column.
+    position = {col: i for i, col in enumerate(header)}
+    index = [position[col] for col in columns]
+    width = max(index) + 1
+    pick = operator.itemgetter(*index)
+    c_year, c_rank, c_rmax, c_rpeak, c_cores = (
+        colmap[c] for c in ("year", "rank", "rmax_gflops", "rpeak_gflops", "cores"))
 
     records: list[MachineRecord] = []
     rejections: list[RejectedRow] = []
     seen: set[tuple[int, str, int]] = set()
-    # Row numbers are 1-based over the whole file; the header is row 1.
-    for row_number, raw in enumerate(reader, start=2):
+    # Row numbers are 1-based over the nonblank rows; the header is row 1.
+    row_number = 1
+    for row in reader:
+        if not row:
+            continue
+        row_number += 1
         try:
-            rec = _parse_row(raw, colmap)
+            if len(row) < width:
+                _reject_short_row(row, index, columns)
+            name, year, rank, benchmark, rmax, rpeak, cores, architecture, accelerator = pick(row)
+            rec = MachineRecord(
+                name.strip(), _as_int(year, c_year), _as_int(rank, c_rank), benchmark.strip(),
+                _as_float(rmax, c_rmax), _as_float(rpeak, c_rpeak), _as_int(cores, c_cores),
+                architecture.strip(), accelerator.strip(),
+            )
             key = (rec.year, rec.benchmark, rec.rank)
             if key in seen:
                 raise ValueError(
@@ -218,15 +260,27 @@ def parse_csv(text: str, source: str = "<string>",
                 )
             seen.add(key)
         except ValueError as exc:
-            rejections.append(RejectedRow(row_number, str(exc), dict(raw)))
+            rejections.append(RejectedRow(row_number, str(exc), _raw_cells(header, row)))
             continue
         records.append(rec)
 
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return RecordSet(
         records=tuple(records),
-        provenance=Provenance(source=source, loaded_at=_now()),
+        provenance=Provenance(source=source, loaded_at=_now(), sha256=digest),
         rejections=tuple(rejections),
     )
+
+
+def _raw_cells(header: Sequence[str], row: Sequence[str]) -> dict:
+    """A row as csv.DictReader gives it: missing cells are None, extra
+    cells a list under the key None."""
+    raw = dict(zip(header, row))
+    if len(row) > len(header):
+        raw[None] = row[len(header):]
+    for col in header[len(row):]:
+        raw[col] = None
+    return raw
 
 
 def load_csv(path: str, aliases: Mapping[str, str] | None = None) -> RecordSet:

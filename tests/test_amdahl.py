@@ -272,6 +272,23 @@ def test_point_at_perfect_efficiency_flags_infinite_amplification():
     assert p.amplification == math.inf
 
 
+@pytest.mark.parametrize("k, e", [(1000, 0.99999), (2, 1.0 - 2**-52), (10**12, 1.0 - 1e-15)])
+def test_point_near_efficiency_one_is_coherent(k, e):
+    # (k - S) / ((k - 1) S) cancels here; the forward map does not.
+    p = AmdahlPoint.from_efficiency(k, e)
+    assert p.efficiency == e
+    assert 1.0 / (1.0 + (k - 1) * p.alpha_eff.one_minus_alpha) == pytest.approx(e, rel=1e-15)
+
+
+def test_point_amplification_overflows_for_subnormal_distance():
+    p = AmdahlPoint.from_efficiency(10**300, 1.0 - 2**-52)
+    assert 0.0 < p.alpha_eff.one_minus_alpha < 1e-300
+    assert p.amplification == math.inf
+    with pytest.raises(ValueError):
+        AmdahlPoint(k=1000, efficiency=0.5, speedup=500.0,
+                    alpha_eff=AlphaValue(1.0 / 999.0), amplification=math.inf)
+
+
 def test_point_rejects_single_unit():
     with pytest.raises(ValueError):
         AmdahlPoint.from_efficiency(1, 0.9)

@@ -1,13 +1,16 @@
 """Command-line front end: reports, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import parlimits
 from parlimits.cli import DATASET_ENV_VAR, main
 
 HEADER = ("name,year,rank,benchmark,rmax_gflops,rpeak_gflops,"
@@ -97,6 +100,33 @@ def test_analyze_quarantines_infinite_rates(tmp_path, capsys):
     assert "row 3 quarantined" in out
 
 
+def test_analyze_tolerates_efficiency_near_one(tmp_path, capsys):
+    # Efficiency 0.99999: the coherence check must not cancel.
+    p = tmp_path / "tight.csv"
+    p.write_text(HEADER + "\nTight,2017,2,HPL,99999.0,100000.0,1000,MPP,None\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p))
+    assert (code, err) == (0, "")
+    assert "Tight" in out
+
+
+@pytest.mark.parametrize("bad_row", [
+    "Underflow,2017,2,HPL,1e-300,1e300,64,MPP,None",
+    "Subnormal,2017,2,HPL,1e-10,1e300,64,MPP,None",
+    "Huge,2017,2,HPL,9.0,10.0," + "1" + "0" * 400 + ",MPP,None",
+], ids=["underflow", "subnormal", "huge-cores"])
+def test_analyze_quarantines_records_without_a_point(bad_row, tmp_path, capsys):
+    p = tmp_path / "edge.csv"
+    p.write_text(HEADER + "\nGood,2017,1,HPL,9.0,10.0,64,MPP,None\n" + bad_row + "\n"
+                 "Other,2017,3,HPL,5.0,10.0,64,MPP,None\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p))
+    assert (code, err) == (0, "")
+    assert "records: 2" in out
+    assert "quarantined: 1" in out
+    assert "row 3 quarantined" in out
+    assert "Good" in out and "Other" in out
+
+
 def test_analyze_empty_but_valid_dataset_warns(tmp_path, capsys):
     p = tmp_path / "empty.csv"
     p.write_text(HEADER + "\n", encoding="utf-8")
@@ -158,6 +188,69 @@ def test_simulate_report_matches_golden_bytes(name, fmt, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+ANALYZE_ALL = ["analyze", "--fits", "--ratios", "--rank-correlation"]
+BOUNDS_GROUPED = ["bounds", "--total-cycles", "2e13", "--start-stop-cycles", "2",
+                  "--distance-m", "100", "--clock-hz", "1e9",
+                  "--context-switch-cycles", "1e4", "--n-units", "10000000",
+                  "--dispatch-cycles", "1", "--cores-per-group", "64",
+                  "--mpe-per-group", "1"]
+FORECAST_GOLDEN = ["forecast", "--target", "1e18", "--per-processor-perf", "11.78e9",
+                   "--achieved-one-minus-alpha", "3.273e-8"]
+
+
+# edge_records.csv has a reordered header with a repeated extra column, a
+# blank line, a short row, extra cells, a duplicate rank, a single-core row
+# and a name with quotes and non-ASCII characters.
+@pytest.mark.parametrize("name, argv", [
+    ("analyze_packaged", ANALYZE_ALL),
+    ("analyze_edge", ANALYZE_ALL[:1] + ["--dataset", "edge_records.csv"] + ANALYZE_ALL[1:]),
+    ("bounds_grouped", BOUNDS_GROUPED),
+    ("forecast", FORECAST_GOLDEN),
+])
+@pytest.mark.parametrize("fmt", ["txt", "json"])
+def test_report_matches_golden_bytes(name, argv, fmt, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv(DATASET_ENV_VAR, raising=False)
+    code, out, err = run(capsys, *argv, *(["--json"] if fmt == "json" else []))
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--dataset", "edge_records.csv"],
+    ["simulate", "three_units.scn"],
+])
+def test_input_is_closed_after_reading(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(parlimits.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+         "-m", "parlimits.cli", *argv],
+        cwd=GOLDEN, env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--dataset", "edge_records.csv"],
+    ["simulate", "three_units.scn"],
+])
+def test_reported_digest_is_of_the_input_bytes(argv, capsys, monkeypatch):
+    monkeypatch.chdir(GOLDEN)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    digest = hashlib.sha256((GOLDEN / argv[-1]).read_bytes()).hexdigest()
+    assert json.loads(out)["inputs"] == [{"source": argv[-1], "sha256": digest}]
+
+
+def test_crlf_dataset_digest_is_of_the_file_bytes(tmp_path, capsys):
+    p = tmp_path / "crlf.csv"
+    p.write_bytes((HEADER + "\r\nBox,2017,1,HPL,9.0,10.0,64,MPP,None\r\n").encode("utf-8"))
+    code, out, _ = run(capsys, "analyze", "--dataset", str(p), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["counts"] == {"quarantined": 0, "records": 1}
+    assert doc["inputs"][0]["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_simulate_omits_per_unit_table_for_wide_machines(tmp_path, capsys):
@@ -275,7 +368,8 @@ def test_forecast_trivial_target_is_input_error(capsys):
 
 
 @pytest.mark.parametrize("rates", [["--target", "inf"],
-                                   ["--target", "1e18", "--rpeak-max", "inf"]])
+                                   ["--target", "1e18", "--rpeak-max", "inf"],
+                                   ["--target", "inf", "--rpeak-max", "1e19"]])
 def test_forecast_infinite_sweep_ceiling_is_input_error(rates, capsys):
     code, out, err = run(capsys, "forecast", *rates, "--per-processor-perf", "1e10",
                          "--achieved-one-minus-alpha", "1e-8")

@@ -214,6 +214,12 @@ def test_feasibility_trivial_target_is_a_distinct_signal():
                     achieved=AlphaValue(1e-7))
 
 
+@pytest.mark.parametrize("target", [math.inf, PerformanceFigure(math.inf)])
+def test_feasibility_rejects_infinite_target(target):
+    with pytest.raises(ValueError, match="finite"):
+        feasibility(target, 1e10, AlphaValue(1e-8))
+
+
 def test_feasibility_carries_hypothesis_text():
     v = feasibility(1e18, 1e10, AlphaValue(5e-9),
                     achieved_source="projected-2029",

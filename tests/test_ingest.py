@@ -1,8 +1,13 @@
 """CSV ingest, record validation, bundled dataset, reference tables."""
 from __future__ import annotations
 
+import csv
+import hashlib
+import io
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +26,9 @@ from parlimits import (
     reference_table,
     write_csv,
 )
+from parlimits.ingest import CANONICAL_COLUMNS
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def record(**overrides) -> MachineRecord:
@@ -56,10 +64,20 @@ def test_record_derived_quantities():
     {"cores": 10.5},
     {"rpeak_gflops": math.inf},
     {"rmax_gflops": math.inf, "rpeak_gflops": math.inf},
+    # No scaling point: the efficiency underflows or is subnormal, or the
+    # core count is beyond the float range.
+    {"rmax_gflops": 1e-300, "rpeak_gflops": 1e300},
+    {"rmax_gflops": 1e-10, "rpeak_gflops": 1e300},
+    {"cores": 10**400},
 ])
 def test_record_rejects_bad_fields(overrides):
     with pytest.raises((ValueError, TypeError)):
         record(**overrides)
+
+
+def test_record_admits_extremes_that_have_a_scaling_point():
+    record(rmax_gflops=sys.float_info.min, rpeak_gflops=1.0)
+    record(cores=int(sys.float_info.max))
 
 
 def test_record_tolerates_hairline_efficiency_overshoot():
@@ -135,6 +153,107 @@ def test_duplicate_identity_rejected_at_recordset_level():
     with pytest.raises(ValueError):
         RecordSet(records=(a, b), provenance=parse_csv(
             HEADER + "\n" + GOOD_ROW + "\n", source="unit").provenance)
+
+
+def test_parse_csv_digest_is_of_the_parsed_text():
+    text = HEADER + "\r\n" + GOOD_ROW + "\r\n"
+    rs = parse_csv(text, source="unit")
+    assert rs.provenance.sha256 == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reference_parse(text, aliases=None):
+    """The csv.DictReader reader that parse_csv replaced, as (records,
+    rejections as (row number, reason, raw) triples), or None where the
+    header lacks a column."""
+    aliases = aliases or {}
+    colmap = {canon: aliases.get(canon, canon) for canon in CANONICAL_COLUMNS}
+    reader = csv.DictReader(io.StringIO(text))
+    if not set(colmap.values()) <= set(reader.fieldnames or ()):
+        return None
+
+    def parse_row(raw):
+        def cell(canon):
+            value = raw.get(colmap[canon])
+            if value is None:
+                raise ValueError(f"row is short a value for {colmap[canon]!r}")
+            return value.strip()
+
+        def as_int(canon):
+            text = cell(canon)
+            try:
+                return int(text)
+            except ValueError:
+                raise ValueError(f"{colmap[canon]}: {text!r} is not an integer") from None
+
+        def as_float(canon):
+            text = cell(canon)
+            try:
+                return float(text)
+            except ValueError:
+                raise ValueError(f"{colmap[canon]}: {text!r} is not a number") from None
+
+        return MachineRecord(
+            name=cell("name"), year=as_int("year"), rank=as_int("rank"),
+            benchmark=cell("benchmark"), rmax_gflops=as_float("rmax_gflops"),
+            rpeak_gflops=as_float("rpeak_gflops"), cores=as_int("cores"),
+            architecture=cell("architecture"), accelerator=cell("accelerator"))
+
+    records, rejections, seen = [], [], set()
+    for row_number, raw in enumerate(reader, start=2):
+        try:
+            rec = parse_row(raw)
+            key = (rec.year, rec.benchmark, rec.rank)
+            if key in seen:
+                raise ValueError(
+                    f"duplicate rank {rec.rank} for year {rec.year} {rec.benchmark}")
+            seen.add(key)
+        except ValueError as exc:
+            rejections.append((row_number, str(exc), dict(raw)))
+            continue
+        records.append(rec)
+    return records, rejections
+
+
+EDGE_TEXTS = {
+    "golden-edge": (GOLDEN / "edge_records.csv").read_text(encoding="utf-8"),
+    # A repeated canonical column: the last one wins, and a row too short
+    # to reach it is short even though the first copy is present.
+    "repeated-column": (
+        "cores,name,year,rank,benchmark,rmax_gflops,rpeak_gflops,architecture,"
+        "accelerator,cores\n"
+        "1,A,2017,1,HPL,9.0,10.0,MPP,None,64\n"
+        "64,B,2017,2,HPL,9.0,10.0,MPP,None\n"
+        "64,C,2017,3,HPL,9.0,10.0,MPP,None,64,spare\n"),
+    # Short rows whose earlier cells are bad: the first bad cell wins.
+    "short-and-bad": (
+        HEADER + "\n"
+        "A,20x7,1,HPL\n"
+        "B,2017,2,HPL,9.0,ten\n"
+        "C,2017,3\n"
+        "\n\n"
+        " D ,\x1c2017\x1c, 4 ,HPL,\t9.0 ,10.0,64, MPP,None\n"
+        "   \n"
+        ",,,,,,,,\n"
+        "E,2017,5,HPL,nan,10.0,64,MPP,None,\n"),
+    "crlf-and-quotes": (
+        HEADER + "\r\n"
+        '"Multi\r\nline, ""quoted""",2017,1,HPL,9.0,10.0,64,MPP,None\r\n'
+        "\u00dcber,2017,2,HPCG,1.0,10.0,64,Cluster,GPU\r\n"),
+    "header-only": HEADER + "\n",
+    "blank-header": "\n" + HEADER + "\n" + GOOD_ROW + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TEXTS))
+def test_parse_csv_matches_dictreader_reference(name):
+    text = EDGE_TEXTS[name]
+    want = _reference_parse(text)
+    if want is None:
+        with pytest.raises(SchemaError):
+            parse_csv(text, source="unit")
+        return
+    rs = parse_csv(text, source="unit")
+    assert (list(rs.records), [(r.row_number, r.reason, r.raw) for r in rs.rejections]) == want
 
 
 def test_benchmark_view_sorts_by_rank():
