@@ -96,7 +96,11 @@ def _oma(alpha: float | AlphaValue) -> float:
 
 
 def _check_k(k: float, minimum: float, label: str = "k") -> float:
-    k = float(k)
+    try:
+        k = float(k)
+    except OverflowError:
+        raise ValueError(f"{label} must be a finite number >= {minimum}, "
+                         "got an integer beyond the float range") from None
     if not math.isfinite(k) or k < minimum:
         raise ValueError(f"{label} must be a finite number >= {minimum}, got {k!r}")
     return k

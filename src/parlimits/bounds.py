@@ -124,7 +124,11 @@ def bound_context_switch(cycles: float, total_cycles: float) -> BoundReport:
 def bound_os_looping(n_units: float, cycles_per_dispatch: float,
                      total_cycles: float) -> BoundReport:
     """A serial dispatch loop that touches every unit once."""
-    n_units = float(n_units)
+    try:
+        n_units = float(n_units)
+    except OverflowError:
+        raise ValueError("n_units must be >= 1 and finite, got an integer "
+                         "beyond the float range") from None
     if not (math.isfinite(n_units) and n_units >= 1):
         raise ValueError(f"n_units must be >= 1, got {n_units!r}")
     cycles_per_dispatch = _check_nonneg(cycles_per_dispatch, "cycles_per_dispatch")

@@ -19,6 +19,7 @@ June 2017 records.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -168,6 +169,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Built on first use and kept for the process: parse_args returns a fresh
+# namespace on every call and no default is mutable, so calls share nothing.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="parlimits", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"parlimits {__version__}")
@@ -336,11 +340,11 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
 # ---- simulate --------------------------------------------------------------
 
 def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> int:
-    # The digest takes a second read, so that parsing stays the one
-    # load_scenario call that perfbench times as timeline.parse_s.
+    # The digest takes a second read, of the file's bytes, so that parsing
+    # stays the one load_scenario call that perfbench times as timeline.parse_s.
     scenario = load_scenario(args.scenario)
-    with open(args.scenario, encoding="utf-8") as fh:
-        digest = hashlib.sha256(fh.read().encode("utf-8")).hexdigest()
+    with open(args.scenario, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
     report.add_input(args.scenario, digest)
     result = simulate(scenario)
 
@@ -466,10 +470,9 @@ def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
         os.makedirs(args.curves_dir, exist_ok=True)
         for name in sorted(curves):
             path = os.path.join(args.curves_dir, f"{name}.csv")
+            body = "".join([f"{r_peak!r},{r_max!r}\n" for r_peak, r_max in curves[name].samples])
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write("rpeak_flops,rmax_flops\n")
-                for r_peak, r_max in curves[name].samples:
-                    fh.write(f"{r_peak!r},{r_max!r}\n")
+                fh.write("rpeak_flops,rmax_flops\n" + body)
             report.warnings.append(f"wrote {path}")
     return 0
 

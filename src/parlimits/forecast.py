@@ -109,7 +109,10 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
         raise ValueError(f"k_min must be >= 1, got {k_min!r}")
     ks = _log_grid(k_min, k_max)
     r_peak = ks * p
-    r_max = r_peak / (1.0 + (ks - 1.0) * oma)
+    # The quotient can lose an ulp between neighbouring samples at large k;
+    # the running maximum keeps the curve nondecreasing and every bit where
+    # it already was.
+    r_max = np.maximum.accumulate(r_peak / (1.0 + (ks - 1.0) * oma))
     asymptote = math.inf if oma == 0.0 else p / oma
     return ForecastCurve(
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",

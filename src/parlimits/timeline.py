@@ -25,6 +25,7 @@ so its alpha is reported as the payload fraction of the run itself.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -293,8 +294,29 @@ def _parse_per_unit(value: str, n_units: int) -> float | np.ndarray:
     if value.startswith("linear:"):
         return linear_ramp(n_units, float(value[len("linear:"):]))
     if "," in value:
-        return np.array([float(v) for v in value.split(",")])
+        return _parse_list(value)
     return float(value)
+
+
+# np.loadtxt strips these around a number as whitespace; float() does not.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_list(value: str) -> np.ndarray:
+    """[float(v) for v in value.split(",")] as an array, parsed in C without
+    a Python object per item wherever numpy's grammar agrees with float()'s."""
+    if not any(c in value for c in _LOADTXT_ONLY_SPACE):
+        try:
+            values = np.loadtxt(io.StringIO(value), dtype=float, delimiter=",",
+                                comments=None, ndmin=1)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (value.count(",") + 1,):
+                return values
+    # Only float() takes underscores and non-ASCII digits, and its message
+    # names the offending item.
+    return np.array([float(v) for v in value.split(",")])
 
 
 def load_scenario(path: str) -> TimelineScenario:

@@ -87,6 +87,12 @@ def test_speedup_rejects_fractional_unit_counts():
         speedup(0.5, 0.5)
 
 
+def test_unit_count_beyond_float_range_is_value_error():
+    for law in (speedup, efficiency):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            law(0.5, 10**400)
+
+
 def test_speedup_generalized_matches_plain_at_same_k():
     assert speedup_generalized(0.5, 2) == speedup(0.5, 2)
 

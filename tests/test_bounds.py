@@ -78,6 +78,7 @@ def test_os_looping_scales_with_unit_count():
     lambda: bound_context_switch(-1.0, 1e10),
     lambda: bound_os_looping(0, 1.0, 1e10),
     lambda: bound_os_looping(10, -1.0, 1e10),
+    lambda: bound_os_looping(10**400, 1.0, 1e10),
 ])
 def test_bound_inputs_are_validated(call):
     with pytest.raises(ValueError):

@@ -203,12 +203,16 @@ FORECAST_GOLDEN = ["forecast", "--target", "1e18", "--per-processor-perf", "11.7
 # edge_records.csv has a reordered header with a repeated extra column, a
 # blank line, a short row, extra cells, a duplicate rank, a single-core row
 # and a name with quotes and non-ASCII characters.
-@pytest.mark.parametrize("name, argv", [
+GOLDEN_REPORTS = [
     ("analyze_packaged", ANALYZE_ALL),
     ("analyze_edge", ANALYZE_ALL[:1] + ["--dataset", "edge_records.csv"] + ANALYZE_ALL[1:]),
     ("bounds_grouped", BOUNDS_GROUPED),
     ("forecast", FORECAST_GOLDEN),
-])
+]
+FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
+
+
+@pytest.mark.parametrize("name, argv", GOLDEN_REPORTS)
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 def test_report_matches_golden_bytes(name, argv, fmt, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
@@ -216,6 +220,45 @@ def test_report_matches_golden_bytes(name, argv, fmt, capsys, monkeypatch):
     code, out, err = run(capsys, *argv, *(["--json"] if fmt == "json" else []))
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_forecast_curve_files_match_golden_bytes(tmp_path, capsys):
+    code, _, err = run(capsys, *FORECAST_GOLDEN, "--curves-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    expected = GOLDEN / "forecast_curves"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["achieved.csv", "required.csv"]
+    for f in tmp_path.iterdir():
+        assert f.read_bytes() == (expected / f.name).read_bytes(), f.name
+
+
+USAGE_ERROR = ["bounds", "--total-cycles", "2e13"]
+
+
+def test_repeated_calls_in_one_process_answer_alike(capsys, monkeypatch):
+    # main() may keep its argument parser between calls; no call may see
+    # what an earlier one parsed, printed or failed on.
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv(DATASET_ENV_VAR, raising=False)
+    calls = [USAGE_ERROR, ["--version"]]
+    for _, argv in GOLDEN_REPORTS:
+        for flags in FORMAT_FLAGS.values():
+            calls += [argv + flags] * 2
+    calls.append(USAGE_ERROR)
+
+    first: dict[tuple, tuple] = {}
+    for argv in calls:
+        result = run(capsys, *argv)
+        assert result == first.setdefault(tuple(argv), result), argv
+
+    assert first[tuple(USAGE_ERROR)] == (1, "", (
+        "parlimits bounds: error: the following arguments are required: "
+        "--start-stop-cycles, --distance-m, --clock-hz, --context-switch-cycles, "
+        "--n-units, --dispatch-cycles\n"))
+    assert first[("--version",)] == (0, f"parlimits {parlimits.__version__}\n", "")
+    for name, argv in GOLDEN_REPORTS:
+        for fmt, flags in FORMAT_FLAGS.items():
+            golden = (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+            assert first[tuple(argv + flags)] == (0, golden, ""), (name, fmt)
 
 
 @pytest.mark.parametrize("argv", [
@@ -250,6 +293,16 @@ def test_crlf_dataset_digest_is_of_the_file_bytes(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["counts"] == {"quarantined": 0, "records": 1}
+    assert doc["inputs"][0]["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
+
+
+def test_crlf_scenario_digest_is_of_the_file_bytes(tmp_path, capsys):
+    p = tmp_path / "crlf.scn"
+    p.write_bytes(SCENARIO.replace("\n", "\r\n").encode("utf-8"))
+    code, out, _ = run(capsys, "simulate", str(p), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["tables"][0]["rows"][0][:2] == [2, 120.0]
     assert doc["inputs"][0]["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
@@ -315,6 +368,13 @@ def test_bounds_missing_required_flag_is_usage_error(capsys):
     assert code == 1
 
 
+def test_bounds_unit_count_beyond_float_range_is_input_error(capsys):
+    args = [a if a != "10000000" else "1" + "0" * 400 for a in BOUNDS_ARGS]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith("parlimits: input error: n_units") and err.count("\n") == 1
+
+
 def test_bounds_non_divisible_grouping_is_input_error(capsys):
     code, _, err = run(capsys, *BOUNDS_ARGS,
                        "--cores-per-group", "3", "--mpe-per-group", "1")
@@ -376,6 +436,19 @@ def test_forecast_infinite_sweep_ceiling_is_input_error(rates, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("parlimits: input error:") and err.count("\n") == 1
+
+
+def test_forecast_sweep_to_the_float_range_keeps_the_curve_monotone(tmp_path, capsys):
+    # Near k = 6.5e22 the quotient r_peak / (1 + (k-1)(1-alpha)) loses an ulp
+    # between neighbouring samples.
+    code, _, err = run(capsys, "forecast", "--target", "1e18", "--per-processor-perf", "1e10",
+                         "--achieved-one-minus-alpha", "1e-8", "--rpeak-max", "1e300",
+                         "--curves-dir", str(tmp_path))
+    assert (code, err) == (0, "")
+    for f in tmp_path.iterdir():
+        lines = f.read_text(encoding="utf-8").splitlines()[1:]
+        r_max = [float(ln.split(",")[1]) for ln in lines]
+        assert r_max == sorted(r_max)
 
 
 # ---- generic behavior ------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Property tests: report rendering against reference renderers, and the
-scaling point of every record that validates."""
+"""Property tests: report rendering against reference renderers, the
+scaling point of every record that validates, and scenario lists against
+float()."""
 from __future__ import annotations
 
 import json
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from parlimits import MachineRecord, derive_points  # noqa: E402
 from parlimits.cli import ReportDocument  # noqa: E402
+from parlimits.timeline import _parse_per_unit  # noqa: E402
 
 
 # ---- reference renderers ------------------------------------------------------
@@ -125,3 +127,43 @@ def test_every_valid_record_with_cores_yields_a_point(rpeak, e, cores):
     ((got, point),) = derive_points([rec])
     assert got is rec
     assert point.k == cores
+
+
+# ---- explicit per-unit lists parse exactly as float() does ---------------------------
+
+# Pieces of float()'s grammar and of what it rejects: underscores and
+# Arabic-Indic digits only float() takes; nan(1), 0x and \x1f some C
+# parsers take and float() rejects; np.loadtxt splits lines at \n and \r.
+LIST_PIECES = st.sampled_from([
+    *"0123456789", ".", "e", "E", "+", "-", "_", " ", "\t", "\n", "\r", "inf",
+    "nan", "nan(1)", "0x", "\u0661", "\u0665", "\x1f", "\xa0", ""])
+PADDING = st.sampled_from(["", " ", "\t", "\n", "\x1f", "\xa0"])
+LIST_TOKENS = (st.lists(LIST_PIECES, max_size=6).map("".join)
+               | st.tuples(PADDING, st.floats().map(repr), PADDING).map("".join))
+
+
+def _reference_list(value: str):
+    try:
+        return np.array([float(v) for v in value.split(",")]), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(LIST_TOKENS, min_size=2, max_size=6))
+@example(["1", "2\n3", "4"])  # two rows of two, four values in all
+@example(["1_0", "\u0661"])
+@example(["0.5", "2\x1f"])
+def test_per_unit_list_matches_float_reference(tokens):
+    value = ",".join(tokens)
+    expected, message = _reference_list(value)
+    try:
+        got = _parse_per_unit(value, len(tokens))
+    except ValueError as exc:
+        assert (None, str(exc)) == (expected, message)
+        return
+    assert message is None
+    assert got.dtype == np.float64 and got.shape == expected.shape
+    nan = np.isnan(expected)
+    assert (np.isnan(got) == nan).all()
+    assert (got[~nan].view(np.int64) == expected[~nan].view(np.int64)).all()
