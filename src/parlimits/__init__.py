@@ -25,7 +25,6 @@ from .amdahl import (
     required_one_minus_alpha,
     rmax_from_record,
     speedup,
-    speedup_generalized,
 )
 from .bounds import (
     SIGNAL_SPEED,
@@ -53,7 +52,6 @@ from .forecast import (
     TrendPoint,
     feasibility,
     project_trend,
-    rmax_vs_rpeak,
     virtual_scale,
 )
 from .ingest import (
@@ -82,7 +80,6 @@ from .stats import (
 from .timeline import (
     TimelineScenario,
     TimingBreakdown,
-    alpha_eff_of_timeline,
     linear_ramp,
     load_scenario,
     parse_scenario,
@@ -121,7 +118,6 @@ __all__ = [
     "UnboundedLimitError",
     "alpha_eff_from_efficiency",
     "alpha_eff_from_speedup",
-    "alpha_eff_of_timeline",
     "amplification",
     "available_tags",
     "bound_context_switch",
@@ -150,10 +146,8 @@ __all__ = [
     "reference_table",
     "required_one_minus_alpha",
     "rmax_from_record",
-    "rmax_vs_rpeak",
     "simulate",
     "speedup",
-    "speedup_generalized",
     "virtual_scale",
     "write_csv",
 ]

@@ -95,35 +95,33 @@ def _oma(alpha: float | AlphaValue) -> float:
     return AlphaValue.from_alpha(alpha).one_minus_alpha
 
 
-def _check_k(k: float, minimum: float, label: str = "k") -> float:
+def _check_at_least(value: float, minimum: float, label: str = "k") -> float:
+    """value as a finite float >= minimum, else a one-line ValueError."""
     try:
-        k = float(k)
+        value = float(value)
     except OverflowError:
         raise ValueError(f"{label} must be a finite number >= {minimum}, "
                          "got an integer beyond the float range") from None
-    if not math.isfinite(k) or k < minimum:
-        raise ValueError(f"{label} must be a finite number >= {minimum}, got {k!r}")
-    return k
+    if not math.isfinite(value) or value < minimum:
+        raise ValueError(f"{label} must be a finite number >= {minimum}, got {value!r}")
+    return value
+
+
+def _denominator(k, oma):
+    """1 + (k - 1)(1 - alpha), which is k / S and 1 / E; k may be an array."""
+    return 1.0 + (k - 1.0) * oma
 
 
 def speedup(alpha: float | AlphaValue, k: float) -> float:
     """S = 1 / ((1 - alpha) + alpha / k), evaluated as k / (1 + (k-1)(1-alpha))."""
-    k = _check_k(k, 1.0)
-    return k / (1.0 + (k - 1.0) * _oma(alpha))
-
-
-def speedup_generalized(alpha: float | AlphaValue, effective_k: float) -> float:
-    """Speedup when dilution replaces k by an effective unit count f(k).
-
-    Callers evaluate their own f(k); this is speedup() at that value.
-    """
-    return speedup(alpha, effective_k)
+    k = _check_at_least(k, 1.0)
+    return k / _denominator(k, _oma(alpha))
 
 
 def efficiency(alpha: float | AlphaValue, k: float) -> float:
     """E = S / k = 1 / (1 + (k - 1) * (1 - alpha))."""
-    k = _check_k(k, 1.0)
-    return 1.0 / (1.0 + (k - 1.0) * _oma(alpha))
+    k = _check_at_least(k, 1.0)
+    return 1.0 / _denominator(k, _oma(alpha))
 
 
 def alpha_eff_from_speedup(s: float, k: float) -> AlphaValue:
@@ -132,7 +130,7 @@ def alpha_eff_from_speedup(s: float, k: float) -> AlphaValue:
     Requires k >= 2 (a single unit carries no parallelism signal) and
     0 < S <= k; S above k contradicts the model.
     """
-    k = _check_k(k, 2.0)
+    k = _check_at_least(k, 2.0)
     s = float(s)
     if not math.isfinite(s) or s <= 0:
         raise ValueError(f"speedup must be positive, got {s!r}")
@@ -153,7 +151,7 @@ def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:
     E below 1/k comes out sub-serial: the result has alpha < 0 and is
     returned as-is with its sub_serial flag set.
     """
-    k = _check_k(k, 2.0)
+    k = _check_at_least(k, 2.0)
     e = float(e)
     if not math.isfinite(e) or e <= 0:
         raise ValueError(f"efficiency must be positive, got {e!r}")
@@ -200,7 +198,7 @@ def required_one_minus_alpha(per_processor_perf: float | PerformanceFigure,
 def rmax_from_record(k: float, per_processor_perf: float | PerformanceFigure,
                      alpha: float | AlphaValue) -> PerformanceFigure:
     """Achievable rate of a k-unit machine: r_max = k * P * E(alpha, k)."""
-    k = _check_k(k, 1.0)
+    k = _check_at_least(k, 1.0)
     p = as_flops(per_processor_perf)
     return _auto_unit(k * p * efficiency(alpha, k))
 
@@ -254,7 +252,7 @@ class AmdahlPoint:
             )
         oma = self.alpha_eff.one_minus_alpha
         if self.k >= 2:
-            expect = 1.0 / (1.0 + (self.k - 1.0) * oma)
+            expect = 1.0 / _denominator(self.k, oma)
             if not _close(self.efficiency, expect):
                 raise ValueError(
                     f"alpha_eff {oma!r} inconsistent with efficiency "

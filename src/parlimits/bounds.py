@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .amdahl import _check_at_least
+
 # Fastest practical signal propagation in interconnect, m/s.
 SIGNAL_SPEED = 2e8
 
@@ -53,35 +55,35 @@ class BoundReport:
         if not (math.isfinite(self.bound) and self.bound >= 0):
             raise ValueError(f"bound must be finite and >= 0, got {self.bound!r}")
 
+    def display(self, full_precision: bool) -> str:
+        """The bound alone: one significant digit, or repr in full precision."""
+        return repr(self.bound) if full_precision else f"{self.bound:.0e}"
+
     def describe(self, full_precision: bool = False) -> str:
         """One line, one significant digit by default (these are estimates)."""
-        value = repr(self.bound) if full_precision else f"{self.bound:.0e}"
-        return f"{self.kind}: (1-alpha) >= {value}"
+        return f"{self.kind}: (1-alpha) >= {self.display(full_precision)}"
 
 
-def _check_total(total_cycles: float) -> float:
-    total_cycles = float(total_cycles)
-    if not (math.isfinite(total_cycles) and total_cycles > 0):
-        raise ValueError(f"total_cycles must be positive, got {total_cycles!r}")
-    return total_cycles
-
-
-def _check_nonneg(value: float, name: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def _check_positive(value: float, name: str) -> float:
+    value = _check_at_least(value, 0, name)
+    if value == 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
     return value
+
+
+def _fixed_cycles(kind: str, cycles: float, total_cycles: float) -> BoundReport:
+    cycles = _check_at_least(cycles, 0, "cycles")
+    total_cycles = _check_positive(total_cycles, "total_cycles")
+    return BoundReport(
+        kind=kind,
+        bound=cycles / total_cycles,
+        assumptions={"cycles": cycles, "total_cycles": total_cycles},
+    )
 
 
 def bound_start_stop(cycles: float, total_cycles: float) -> BoundReport:
     """Fixed entry/exit cost of the parallel section."""
-    cycles = _check_nonneg(cycles, "cycles")
-    total_cycles = _check_total(total_cycles)
-    return BoundReport(
-        kind="start-stop",
-        bound=cycles / total_cycles,
-        assumptions={"cycles": cycles, "total_cycles": total_cycles},
-    )
+    return _fixed_cycles("start-stop", cycles, total_cycles)
 
 
 def bound_propagation(distance_m: float, clock_hz: float, message_time_s: float,
@@ -90,12 +92,10 @@ def bound_propagation(distance_m: float, clock_hz: float, message_time_s: float,
 
     cycles = (2 * distance / SIGNAL_SPEED + message_time) * clock
     """
-    distance_m = _check_nonneg(distance_m, "distance_m")
-    message_time_s = _check_nonneg(message_time_s, "message_time_s")
-    clock_hz = float(clock_hz)
-    if not (math.isfinite(clock_hz) and clock_hz > 0):
-        raise ValueError(f"clock_hz must be positive, got {clock_hz!r}")
-    total_cycles = _check_total(total_cycles)
+    distance_m = _check_at_least(distance_m, 0, "distance_m")
+    message_time_s = _check_at_least(message_time_s, 0, "message_time_s")
+    clock_hz = _check_positive(clock_hz, "clock_hz")
+    total_cycles = _check_positive(total_cycles, "total_cycles")
     cycles = (2.0 * distance_m / SIGNAL_SPEED + message_time_s) * clock_hz
     return BoundReport(
         kind="propagation",
@@ -112,27 +112,15 @@ def bound_propagation(distance_m: float, clock_hz: float, message_time_s: float,
 
 def bound_context_switch(cycles: float, total_cycles: float) -> BoundReport:
     """One OS context switch on the critical path."""
-    cycles = _check_nonneg(cycles, "cycles")
-    total_cycles = _check_total(total_cycles)
-    return BoundReport(
-        kind="context-switch",
-        bound=cycles / total_cycles,
-        assumptions={"cycles": cycles, "total_cycles": total_cycles},
-    )
+    return _fixed_cycles("context-switch", cycles, total_cycles)
 
 
 def bound_os_looping(n_units: float, cycles_per_dispatch: float,
                      total_cycles: float) -> BoundReport:
     """A serial dispatch loop that touches every unit once."""
-    try:
-        n_units = float(n_units)
-    except OverflowError:
-        raise ValueError("n_units must be >= 1 and finite, got an integer "
-                         "beyond the float range") from None
-    if not (math.isfinite(n_units) and n_units >= 1):
-        raise ValueError(f"n_units must be >= 1, got {n_units!r}")
-    cycles_per_dispatch = _check_nonneg(cycles_per_dispatch, "cycles_per_dispatch")
-    total_cycles = _check_total(total_cycles)
+    n_units = _check_at_least(n_units, 1, "n_units")
+    cycles_per_dispatch = _check_at_least(cycles_per_dispatch, 0, "cycles_per_dispatch")
+    total_cycles = _check_positive(total_cycles, "total_cycles")
     return BoundReport(
         kind="os-looping",
         bound=n_units * cycles_per_dispatch / total_cycles,
@@ -181,7 +169,7 @@ def mpe_grouping_effect(n_cores: int, cores_per_group: int, mpe_per_group: int,
     report = bound_os_looping(addressable, cycles_per_dispatch, total_cycles)
     return GroupingEffect(
         addressable_units=addressable,
-        reduction_factor=float(cores_per_group),
+        reduction_factor=_check_at_least(cores_per_group, 1, "cores_per_group"),
         capacity_loss=loss,
         bound=report,
     )

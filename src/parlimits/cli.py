@@ -392,12 +392,9 @@ def _cmd_bounds(args: argparse.Namespace, report: ReportDocument) -> int:
         bound_os_looping(args.n_units, args.dispatch_cycles, args.total_cycles),
     ]
     governing = combined_limit(reports)
-
-    def disp(bound: float) -> str:
-        return repr(bound) if args.full_precision else f"{bound:.0e}"
-
-    rows = [(r.kind, r.bound, disp(r.bound)) for r in reports]
-    rows.append((f"combined <- {governing.kind}", governing.bound, disp(governing.bound)))
+    full = args.full_precision
+    rows = [(r.kind, r.bound, r.display(full)) for r in reports]
+    rows.append((f"combined <- {governing.kind}", governing.bound, governing.display(full)))
     report.add_table(
         "floors on one_minus_alpha",
         ("mechanism", "bound", "display"),
@@ -414,7 +411,7 @@ def _cmd_bounds(args: argparse.Namespace, report: ReportDocument) -> int:
             ("addressable_units", "reduction_factor", "capacity_loss",
              "os_looping_bound", "display"),
             [(effect.addressable_units, effect.reduction_factor,
-              effect.capacity_loss, effect.bound.bound, disp(effect.bound.bound))],
+              effect.capacity_loss, effect.bound.bound, effect.bound.display(full))],
         )
     return 0
 

@@ -69,7 +69,10 @@ TREND_BEST_ONE_MINUS_ALPHA = ReferenceTable(
 )
 
 # June 2017 HPL list, first 50 entries: processor count and the
-# effective (1 - alpha) implied by the published efficiency.
+# effective (1 - alpha) implied by the published efficiency. Rows 1-10 are a
+# published cross-check of data/top500_2017.csv, not derived from it (that
+# would compare the CSV with itself); checked by test_ingest.py's
+# test_bundle_agrees_with_reference_alpha_distances_within_3_percent.
 TOP50_HPL_2017 = ReferenceTable(
     tag="top50-hpl-2017-06",
     columns=("rank", "cores", "one_minus_alpha"),
@@ -127,7 +130,9 @@ TOP50_HPL_2017 = ReferenceTable(
     ),
 )
 
-# HPCG results of the June 2017 HPL top ten, keyed by HPL rank.
+# HPCG results of the June 2017 HPL top ten, keyed by HPL rank. A published
+# cross-check of data/top500_2017.csv's HPCG rows; checked by test_ingest.py's
+# test_bundle_agrees_with_reference_alpha_distances_within_3_percent.
 TOP10_HPCG_2017 = ReferenceTable(
     tag="top10-hpcg-2017-06",
     columns=("hpl_rank", "cores", "one_minus_alpha"),
@@ -145,7 +150,9 @@ TOP10_HPCG_2017 = ReferenceTable(
     ),
 )
 
-# Published efficiencies of the same ten machines under both benchmarks.
+# Published efficiencies of the same ten machines under both benchmarks. A
+# published cross-check of data/top500_2017.csv; checked by test_ingest.py's
+# test_bundle_agrees_with_reference_efficiencies_within_3_percent.
 EFFICIENCY_TOP10_2017 = ReferenceTable(
     tag="efficiency-top10-2017-06",
     columns=("cores", "efficiency_hpl", "efficiency_hpcg"),

@@ -1,11 +1,11 @@
 """What the scaling law says about machines that do not exist yet.
 
-Three exercises, all holding (1 - alpha) fixed while the machine grows:
+Two exercises, both holding (1 - alpha) fixed while the machine grows:
 
   * virtual_scale: take one machine's per-unit performance and alpha,
-    sweep the unit count, and watch r_max crawl toward p_max.
-  * rmax_vs_rpeak: the same sweep parameterized by peak performance,
-    which is how list data is usually plotted.
+    sweep the unit count, and watch r_max crawl toward p_max. Its
+    r_peak axis is k * P, so a sweep up to a peak rate R is
+    virtual_scale(P, alpha, k_max=R / P).
   * feasibility: would a target rate fit under p_max at all, and with
     how much margin.
 
@@ -24,8 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .amdahl import AlphaValue, _oma
-from .errors import AlreadyAchievableError
+from .amdahl import AlphaValue, _denominator, _oma, required_one_minus_alpha
 from .stats import RegressionFit
 from .units import PerformanceFigure, as_flops
 
@@ -112,7 +111,7 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
     # The quotient can lose an ulp between neighbouring samples at large k;
     # the running maximum keeps the curve nondecreasing and every bit where
     # it already was.
-    r_max = np.maximum.accumulate(r_peak / (1.0 + (ks - 1.0) * oma))
+    r_max = np.maximum.accumulate(r_peak / _denominator(ks, oma))
     asymptote = math.inf if oma == 0.0 else p / oma
     return ForecastCurve(
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
@@ -120,29 +119,6 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
         asymptote_flops=asymptote,
         overlay=tuple((as_flops(a), as_flops(b)) for a, b in overlay),
     )
-
-
-def rmax_vs_rpeak(per_processor_perf: float | PerformanceFigure,
-                  alpha: float | AlphaValue,
-                  rpeak_max: float | PerformanceFigure,
-                  rpeak_min: float | PerformanceFigure | None = None,
-                  source: str = "",
-                  overlay: Sequence[tuple[float, float]] = ()) -> ForecastCurve:
-    """The same sweep addressed by peak performance: k = r_peak / P.
-
-    rpeak_min defaults to one unit's performance; anything lower would
-    mean a fraction of a unit.
-    """
-    p = as_flops(per_processor_perf)
-    lo = p if rpeak_min is None else as_flops(rpeak_min)
-    hi = as_flops(rpeak_max)
-    if lo < p:
-        raise ValueError(
-            f"rpeak_min {lo!r} is below one unit's performance {p!r}"
-        )
-    curve = virtual_scale(p, alpha, k_max=hi / p, k_min=lo / p,
-                          source=source, overlay=overlay)
-    return curve
 
 
 @dataclass(frozen=True)
@@ -213,11 +189,7 @@ def feasibility(target: float | PerformanceFigure,
     if not math.isfinite(t):
         raise ValueError(f"target must be finite, got {t!r}")
     p = as_flops(per_processor_perf)
-    if t < p:
-        raise AlreadyAchievableError(
-            f"target {t!r} flop/s is below single-unit performance {p!r} flop/s"
-        )
-    required = AlphaValue(p / t)
+    required = required_one_minus_alpha(p, t)
     achieved_value = achieved if isinstance(achieved, AlphaValue) else AlphaValue(float(achieved))
     a = achieved_value.one_minus_alpha
     r = required.one_minus_alpha

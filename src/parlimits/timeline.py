@@ -222,11 +222,6 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     )
 
 
-def alpha_eff_of_timeline(scenario: TimelineScenario) -> AlphaValue:
-    """Effective parallel fraction of a scenario; see module docstring."""
-    return simulate(scenario).alpha_eff
-
-
 def _alpha_of(payload_sum: float, total: float, n: int) -> AlphaValue:
     if payload_sum == 0.0:
         # No payload at all: the run is pure overhead, alpha is 0.

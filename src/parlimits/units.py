@@ -19,6 +19,13 @@ _SCALES: dict[str, float] = {
 }
 
 
+def _scale(unit: str) -> float:
+    """flop/s per `unit`."""
+    if unit not in _SCALES:
+        raise ValueError(f"unknown unit {unit!r}; choose from {sorted(_SCALES)}")
+    return _SCALES[unit]
+
+
 @dataclass(frozen=True)
 class PerformanceFigure:
     """A positive computing rate plus the unit it is displayed in.
@@ -31,28 +38,21 @@ class PerformanceFigure:
     unit: str = "flop/s"
 
     def __post_init__(self) -> None:
-        if self.unit not in _SCALES:
-            raise ValueError(f"unknown unit {self.unit!r}; choose from {sorted(_SCALES)}")
+        _scale(self.unit)
         if not (self.value_flops > 0):
             raise ValueError(f"performance must be positive, got {self.value_flops!r}")
 
     @classmethod
     def from_value(cls, value: float, unit: str) -> PerformanceFigure:
         """Build from a number expressed in `unit` (e.g. 11.8, "Gflop/s")."""
-        if unit not in _SCALES:
-            raise ValueError(f"unknown unit {unit!r}; choose from {sorted(_SCALES)}")
-        return cls(value * _SCALES[unit], unit)
+        return cls(value * _scale(unit), unit)
 
     def in_unit(self, unit: str) -> float:
         """The numeric value expressed in `unit`."""
-        if unit not in _SCALES:
-            raise ValueError(f"unknown unit {unit!r}; choose from {sorted(_SCALES)}")
-        return self.value_flops / _SCALES[unit]
+        return self.value_flops / _scale(unit)
 
     def rescaled(self, unit: str) -> PerformanceFigure:
         """Same rate, displayed in a different unit."""
-        if unit not in _SCALES:
-            raise ValueError(f"unknown unit {unit!r}; choose from {sorted(_SCALES)}")
         return PerformanceFigure(self.value_flops, unit)
 
     def __str__(self) -> str:

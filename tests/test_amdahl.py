@@ -21,7 +21,6 @@ from parlimits import (
     required_one_minus_alpha,
     rmax_from_record,
     speedup,
-    speedup_generalized,
 )
 
 
@@ -93,20 +92,16 @@ def test_unit_count_beyond_float_range_is_value_error():
             law(0.5, 10**400)
 
 
-def test_speedup_generalized_matches_plain_at_same_k():
-    assert speedup_generalized(0.5, 2) == speedup(0.5, 2)
-
-
 def test_speedup_generalized_with_diluted_unit_count():
     # serial distance exactly 1e-6, effective count 1e7
-    s = speedup_generalized(AlphaValue(1e-6), 1e7)
+    s = speedup(AlphaValue(1e-6), 1e7)
     assert s == pytest.approx(909090.9917355448, rel=1e-12)
     assert abs(s - 9.0909e5) / 9.0909e5 < 1e-4
 
 
 def test_speedup_generalized_serial_is_one_for_any_dilution():
     for f in (1.0, 17.3, 1e9):
-        assert speedup_generalized(0.0, f) == 1.0
+        assert speedup(0.0, f) == 1.0
 
 
 def test_efficiency_perfect_parallelism_is_one():
@@ -378,8 +373,12 @@ def test_performance_figure_rejects_nonsense():
         PerformanceFigure(-5.0, "Gflop/s")
     with pytest.raises(ValueError):
         PerformanceFigure(1.0, "Mflop/s")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown unit"):
         PerformanceFigure.from_value(1.0, "bogus")
+    with pytest.raises(ValueError, match="unknown unit"):
+        PerformanceFigure(1.0).in_unit("bogus")
+    with pytest.raises(ValueError, match="unknown unit"):
+        PerformanceFigure(1.0).rescaled("bogus")
 
 
 def test_performance_figure_str_shows_tagged_unit():

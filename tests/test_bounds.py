@@ -79,10 +79,15 @@ def test_os_looping_scales_with_unit_count():
     lambda: bound_os_looping(0, 1.0, 1e10),
     lambda: bound_os_looping(10, -1.0, 1e10),
     lambda: bound_os_looping(10**400, 1.0, 1e10),
+    lambda: mpe_grouping_effect(10**400, 10**400, 1, 1.0, 2e13),
+    lambda: bound_start_stop(10**400, 1e10),
+    lambda: bound_propagation(1.0, 10**400, 0.0, 1e10),
+    lambda: bound_context_switch(1.0, 10**400),
 ])
 def test_bound_inputs_are_validated(call):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         call()
+    assert "\n" not in str(info.value)
 
 
 def test_report_is_frozen_and_validated():

@@ -208,6 +208,7 @@ GOLDEN_REPORTS = [
     ("analyze_edge", ANALYZE_ALL[:1] + ["--dataset", "edge_records.csv"] + ANALYZE_ALL[1:]),
     ("bounds_grouped", BOUNDS_GROUPED),
     ("forecast", FORECAST_GOLDEN),
+    ("bounds_grouped_full", BOUNDS_GROUPED + ["--full-precision"]),
 ]
 FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
 

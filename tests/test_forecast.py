@@ -21,7 +21,6 @@ from parlimits import (
     p_max,
     project_trend,
     reference_table,
-    rmax_vs_rpeak,
     virtual_scale,
 )
 
@@ -107,27 +106,27 @@ def test_curve_carries_overlay_points():
 
 def test_rmax_vs_rpeak_at_published_alpha_levels():
     # flagship-scale per-unit speed, measured distance from the easy benchmark
-    c1 = rmax_vs_rpeak(11.78e9, AlphaValue(2.44e-5), rpeak_max=0.125452288e18)
+    k_max = 0.125452288e18 / 11.78e9
+    c1 = virtual_scale(11.78e9, AlphaValue(2.44e-5), k_max=k_max)
     assert c1.samples[-1][0] == pytest.approx(0.125452288e18, rel=1e-12)
     assert c1.samples[-1][1] == pytest.approx(480936110063924.3, rel=1e-9)
-    c2 = rmax_vs_rpeak(11.78e9, AlphaValue(3e-4), rpeak_max=0.125452288e18)
+    c2 = virtual_scale(11.78e9, AlphaValue(3e-4), k_max=k_max)
     assert c2.samples[-1][1] == pytest.approx(39254383699111.086, rel=1e-9)
     # the harder benchmark's distance costs about an order of magnitude
     assert 8.0 < c1.samples[-1][1] / c2.samples[-1][1] < 15.0
 
 
 def test_rmax_vs_rpeak_starts_at_one_unit_by_default():
-    c = rmax_vs_rpeak(11.78e9, AlphaValue(1e-6), rpeak_max=1e15)
+    c = virtual_scale(11.78e9, AlphaValue(1e-6), k_max=1e15 / 11.78e9)
     assert c.samples[0] == (11.78e9, 11.78e9)
-    with pytest.raises(ValueError):
-        rmax_vs_rpeak(11.78e9, AlphaValue(1e-6), rpeak_max=1e15,
-                      rpeak_min=1e9)
+    with pytest.raises(ValueError, match="k_min"):
+        virtual_scale(11.78e9, AlphaValue(1e-6), k_max=1e15 / 11.78e9,
+                      k_min=1e9 / 11.78e9)
 
 
 def test_rmax_vs_rpeak_accepts_performance_figures():
-    c = rmax_vs_rpeak(PerformanceFigure.from_value(11.78, "Gflop/s"),
-                      AlphaValue(1e-6),
-                      rpeak_max=PerformanceFigure.from_value(1.0, "Pflop/s"))
+    p = PerformanceFigure.from_value(11.78, "Gflop/s")
+    c = virtual_scale(p, AlphaValue(1e-6), k_max=1e15 / p.value_flops)
     assert c.samples[-1][0] == pytest.approx(1e15, rel=1e-12)
 
 

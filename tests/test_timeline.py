@@ -9,7 +9,6 @@ import pytest
 from parlimits import (
     DegenerateScenarioError,
     TimelineScenario,
-    alpha_eff_of_timeline,
     linear_ramp,
     load_scenario,
     parse_scenario,
@@ -137,12 +136,6 @@ def test_scenario_rejects_bad_shapes_and_values():
         TimelineScenario(n_units=0, payload_cycles=1.0)
     with pytest.raises(ValueError):
         TimelineScenario(n_units=2, payload_cycles=1.0, sw_pre=-1.0)
-
-
-def test_alpha_helper_matches_simulation():
-    sc = two_unit_scenario()
-    assert alpha_eff_of_timeline(sc).one_minus_alpha == \
-        simulate(sc).alpha_eff.one_minus_alpha
 
 
 def test_linear_ramp_matches_the_scalar_loop_bit_for_bit():
