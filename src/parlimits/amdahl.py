@@ -37,7 +37,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import AlreadyAchievableError, InconsistentMeasurementError, UnboundedLimitError
+from .errors import (AlreadyAchievableError, InconsistentMeasurementError, UnboundedLimitError,
+                     check_count, check_number)
 from .units import PerformanceFigure, as_flops
 
 # Measured efficiencies may land a hair above 1 from rounding in the source
@@ -60,20 +61,15 @@ class AlphaValue:
     one_minus_alpha: float
 
     def __post_init__(self) -> None:
-        oma = self.one_minus_alpha
-        if not (isinstance(oma, (int, float)) and math.isfinite(oma)):
-            raise ValueError(f"one_minus_alpha must be finite, got {oma!r}")
-        if oma < 0:
-            raise ValueError(f"one_minus_alpha must be >= 0, got {oma!r}")
-        object.__setattr__(self, "one_minus_alpha", float(oma))
+        object.__setattr__(self, "one_minus_alpha",
+                           check_number(self.one_minus_alpha, "one_minus_alpha", 0))
 
     @classmethod
     def from_alpha(cls, alpha: float) -> AlphaValue:
-        if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-            raise ValueError(f"alpha must be finite, got {alpha!r}")
+        alpha = check_number(alpha, "alpha", -math.inf)
         if alpha > 1:
             raise ValueError(f"alpha must be <= 1, got {alpha!r}")
-        return cls(1.0 - float(alpha))
+        return cls(1.0 - alpha)
 
     @property
     def alpha(self) -> float:
@@ -95,18 +91,6 @@ def _oma(alpha: float | AlphaValue) -> float:
     return AlphaValue.from_alpha(alpha).one_minus_alpha
 
 
-def _check_at_least(value: float, minimum: float, label: str = "k") -> float:
-    """value as a finite float >= minimum, else a one-line ValueError."""
-    try:
-        value = float(value)
-    except OverflowError:
-        raise ValueError(f"{label} must be a finite number >= {minimum}, "
-                         "got an integer beyond the float range") from None
-    if not math.isfinite(value) or value < minimum:
-        raise ValueError(f"{label} must be a finite number >= {minimum}, got {value!r}")
-    return value
-
-
 def _denominator(k, oma):
     """1 + (k - 1)(1 - alpha), which is k / S and 1 / E; k may be an array."""
     return 1.0 + (k - 1.0) * oma
@@ -114,13 +98,13 @@ def _denominator(k, oma):
 
 def speedup(alpha: float | AlphaValue, k: float) -> float:
     """S = 1 / ((1 - alpha) + alpha / k), evaluated as k / (1 + (k-1)(1-alpha))."""
-    k = _check_at_least(k, 1.0)
+    k = check_number(k, "k", 1)
     return k / _denominator(k, _oma(alpha))
 
 
 def efficiency(alpha: float | AlphaValue, k: float) -> float:
     """E = S / k = 1 / (1 + (k - 1) * (1 - alpha))."""
-    k = _check_at_least(k, 1.0)
+    k = check_number(k, "k", 1)
     return 1.0 / _denominator(k, _oma(alpha))
 
 
@@ -130,10 +114,8 @@ def alpha_eff_from_speedup(s: float, k: float) -> AlphaValue:
     Requires k >= 2 (a single unit carries no parallelism signal) and
     0 < S <= k; S above k contradicts the model.
     """
-    k = _check_at_least(k, 2.0)
-    s = float(s)
-    if not math.isfinite(s) or s <= 0:
-        raise ValueError(f"speedup must be positive, got {s!r}")
+    k = check_number(k, "k", 2)
+    s = check_number(s, "speedup", 0, strict=True)
     if s > k:
         if s <= k * (1.0 + EFFICIENCY_SLACK):
             s = k
@@ -151,10 +133,8 @@ def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:
     E below 1/k comes out sub-serial: the result has alpha < 0 and is
     returned as-is with its sub_serial flag set.
     """
-    k = _check_at_least(k, 2.0)
-    e = float(e)
-    if not math.isfinite(e) or e <= 0:
-        raise ValueError(f"efficiency must be positive, got {e!r}")
+    k = check_number(k, "k", 2)
+    e = check_number(e, "efficiency", 0, strict=True)
     if e > 1.0:
         if e <= 1.0 + EFFICIENCY_SLACK:
             e = 1.0
@@ -198,7 +178,7 @@ def required_one_minus_alpha(per_processor_perf: float | PerformanceFigure,
 def rmax_from_record(k: float, per_processor_perf: float | PerformanceFigure,
                      alpha: float | AlphaValue) -> PerformanceFigure:
     """Achievable rate of a k-unit machine: r_max = k * P * E(alpha, k)."""
-    k = _check_at_least(k, 1.0)
+    k = check_number(k, "k", 1)
     p = as_flops(per_processor_perf)
     return _auto_unit(k * p * efficiency(alpha, k))
 
@@ -240,8 +220,7 @@ class AmdahlPoint:
     amplification: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, int) or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
+        check_count(self.k, "k", 1)
         if not (0.0 < self.efficiency <= 1.0):
             raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency!r}")
         if self.speedup < 0:
@@ -267,8 +246,7 @@ class AmdahlPoint:
     @classmethod
     def from_efficiency(cls, k: int, e: float) -> AmdahlPoint:
         """Build a coherent point from (unit count, measured efficiency)."""
-        if not isinstance(k, int) or k < 2:
-            raise ValueError(f"k must be an integer >= 2, got {k!r}")
+        check_count(k, "k", 2)
         a = alpha_eff_from_efficiency(e, k)
         if e > 1.0:  # survived the slack check inside the inverse map
             e = 1.0

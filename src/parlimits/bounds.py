@@ -25,11 +25,10 @@ the largest.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .amdahl import _check_at_least
+from .errors import check_count, check_number
 
 # Fastest practical signal propagation in interconnect, m/s.
 SIGNAL_SPEED = 2e8
@@ -52,8 +51,7 @@ class BoundReport:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if not (math.isfinite(self.bound) and self.bound >= 0):
-            raise ValueError(f"bound must be finite and >= 0, got {self.bound!r}")
+        check_number(self.bound, "bound", 0)
 
     def display(self, full_precision: bool) -> str:
         """The bound alone: one significant digit, or repr in full precision."""
@@ -64,16 +62,9 @@ class BoundReport:
         return f"{self.kind}: (1-alpha) >= {self.display(full_precision)}"
 
 
-def _check_positive(value: float, name: str) -> float:
-    value = _check_at_least(value, 0, name)
-    if value == 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-    return value
-
-
 def _fixed_cycles(kind: str, cycles: float, total_cycles: float) -> BoundReport:
-    cycles = _check_at_least(cycles, 0, "cycles")
-    total_cycles = _check_positive(total_cycles, "total_cycles")
+    cycles = check_number(cycles, "cycles", 0)
+    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
     return BoundReport(
         kind=kind,
         bound=cycles / total_cycles,
@@ -92,10 +83,10 @@ def bound_propagation(distance_m: float, clock_hz: float, message_time_s: float,
 
     cycles = (2 * distance / SIGNAL_SPEED + message_time) * clock
     """
-    distance_m = _check_at_least(distance_m, 0, "distance_m")
-    message_time_s = _check_at_least(message_time_s, 0, "message_time_s")
-    clock_hz = _check_positive(clock_hz, "clock_hz")
-    total_cycles = _check_positive(total_cycles, "total_cycles")
+    distance_m = check_number(distance_m, "distance_m", 0)
+    message_time_s = check_number(message_time_s, "message_time_s", 0)
+    clock_hz = check_number(clock_hz, "clock_hz", 0, strict=True)
+    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
     cycles = (2.0 * distance_m / SIGNAL_SPEED + message_time_s) * clock_hz
     return BoundReport(
         kind="propagation",
@@ -118,9 +109,9 @@ def bound_context_switch(cycles: float, total_cycles: float) -> BoundReport:
 def bound_os_looping(n_units: float, cycles_per_dispatch: float,
                      total_cycles: float) -> BoundReport:
     """A serial dispatch loop that touches every unit once."""
-    n_units = _check_at_least(n_units, 1, "n_units")
-    cycles_per_dispatch = _check_at_least(cycles_per_dispatch, 0, "cycles_per_dispatch")
-    total_cycles = _check_positive(total_cycles, "total_cycles")
+    n_units = check_number(n_units, "n_units", 1)
+    cycles_per_dispatch = check_number(cycles_per_dispatch, "cycles_per_dispatch", 0)
+    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
     return BoundReport(
         kind="os-looping",
         bound=n_units * cycles_per_dispatch / total_cycles,
@@ -154,10 +145,9 @@ def mpe_grouping_effect(n_cores: int, cores_per_group: int, mpe_per_group: int,
     n_cores must split evenly into groups. cores_per_group == 1 means
     no grouping: nothing is reduced and nothing is sacrificed.
     """
-    for name, v in (("n_cores", n_cores), ("cores_per_group", cores_per_group),
-                    ("mpe_per_group", mpe_per_group)):
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+    check_count(n_cores, "n_cores", 1)
+    check_count(cores_per_group, "cores_per_group", 1)
+    check_count(mpe_per_group, "mpe_per_group", 1)
     if mpe_per_group >= cores_per_group and cores_per_group > 1:
         raise ValueError("a group cannot be all management cores")
     if n_cores % cores_per_group != 0:
@@ -169,7 +159,7 @@ def mpe_grouping_effect(n_cores: int, cores_per_group: int, mpe_per_group: int,
     report = bound_os_looping(addressable, cycles_per_dispatch, total_cycles)
     return GroupingEffect(
         addressable_units=addressable,
-        reduction_factor=_check_at_least(cores_per_group, 1, "cores_per_group"),
+        reduction_factor=check_number(cores_per_group, "cores_per_group", 1),
         capacity_loss=loss,
         bound=report,
     )

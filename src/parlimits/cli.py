@@ -438,7 +438,7 @@ def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
           verdict.achieved_source, verdict.verdict)],
     )
 
-    rpeak_max = args.rpeak_max if args.rpeak_max else 10.0 * args.target
+    rpeak_max = 10.0 * args.target if args.rpeak_max is None else args.rpeak_max
     curves = {
         "achieved": virtual_scale(
             args.per_processor_perf, AlphaValue(args.achieved_one_minus_alpha),

@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .amdahl import AlphaValue, _denominator, _oma, required_one_minus_alpha
+from .errors import check_number
 from .stats import RegressionFit
 from .units import PerformanceFigure, as_flops
 
@@ -78,14 +79,14 @@ class ForecastCurve:
 
 
 def _log_grid(lo: float, hi: float) -> np.ndarray:
-    """Log-spaced values from lo to hi inclusive, SAMPLES_PER_DECADE dense."""
-    if not (0 < lo <= hi < math.inf):
-        raise ValueError(f"need 0 < lo <= hi < inf, got ({lo!r}, {hi!r})")
+    """Log-spaced values from 0 < lo to hi < inf inclusive, SAMPLES_PER_DECADE dense."""
     if lo == hi:
         return np.array([lo])
     decades = math.log10(hi) - math.log10(lo)
     count = max(2, int(math.ceil(decades * SAMPLES_PER_DECADE)) + 1)
-    grid = np.logspace(math.log10(lo), math.log10(hi), count)
+    # 10 ** log10(hi) may round past the float range for hi near it.
+    with np.errstate(over="ignore"):
+        grid = np.logspace(math.log10(lo), math.log10(hi), count)
     # Endpoints exactly as requested, whatever logspace rounded them to.
     grid[0], grid[-1] = lo, hi
     return grid
@@ -104,14 +105,17 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
     """
     p = as_flops(per_processor_perf)
     oma = _oma(alpha)
-    if k_min < 1:
-        raise ValueError(f"k_min must be >= 1, got {k_min!r}")
+    k_min = check_number(k_min, "k_min", 1)
+    k_max = check_number(k_max, "k_max", k_min)
+    if k_max * p == math.inf:
+        raise ValueError("the sweep's end k_max * P overflows the float range")
     ks = _log_grid(k_min, k_max)
     r_peak = ks * p
-    # The quotient can lose an ulp between neighbouring samples at large k;
-    # the running maximum keeps the curve nondecreasing and every bit where
-    # it already was.
-    r_max = np.maximum.accumulate(r_peak / _denominator(ks, oma))
+    # The quotient can lose an ulp between neighbouring samples at large k,
+    # and is 0 where the denominator overflows; the running maximum keeps
+    # the curve nondecreasing and every bit where it already was.
+    with np.errstate(over="ignore"):
+        r_max = np.maximum.accumulate(r_peak / _denominator(ks, oma))
     asymptote = math.inf if oma == 0.0 else p / oma
     return ForecastCurve(
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
@@ -140,11 +144,12 @@ def project_trend(trend: RegressionFit, year: float) -> TrendPoint:
         raise ValueError(
             f"trend must be fit with linear x and log10 y, got {trend.axes}"
         )
-    return TrendPoint(
-        year=year,
-        value=10.0 ** trend.predict(year),
-        extrapolated=trend.extrapolates(year),
-    )
+    year = check_number(year, "year", -math.inf)
+    try:
+        value = 10.0 ** trend.predict(year)
+    except OverflowError:
+        value = math.inf
+    return TrendPoint(year=year, value=value, extrapolated=trend.extrapolates(year))
 
 
 @dataclass(frozen=True)
@@ -183,14 +188,11 @@ def feasibility(target: float | PerformanceFigure,
     below one unit's performance raise AlreadyAchievableError since no
     parallelism question exists there.
     """
-    if marginal_factor < 1:
-        raise ValueError(f"marginal_factor must be >= 1, got {marginal_factor!r}")
+    marginal_factor = check_number(marginal_factor, "marginal_factor", 1)
     t = as_flops(target)
-    if not math.isfinite(t):
-        raise ValueError(f"target must be finite, got {t!r}")
     p = as_flops(per_processor_perf)
     required = required_one_minus_alpha(p, t)
-    achieved_value = achieved if isinstance(achieved, AlphaValue) else AlphaValue(float(achieved))
+    achieved_value = achieved if isinstance(achieved, AlphaValue) else AlphaValue(achieved)
     a = achieved_value.one_minus_alpha
     r = required.one_minus_alpha
     if a <= r:

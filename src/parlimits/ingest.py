@@ -42,7 +42,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .amdahl import AmdahlPoint, EFFICIENCY_SLACK
-from .errors import SchemaError
+from .errors import SchemaError, check_count
 
 CANONICAL_COLUMNS = (
     "name", "year", "rank", "benchmark", "rmax_gflops", "rpeak_gflops",
@@ -73,10 +73,8 @@ class MachineRecord:
     def __post_init__(self) -> None:
         if not self.name or not self.name.strip():
             raise ValueError("name must be nonempty")
-        if not isinstance(self.year, int) or self.year < 1950:
-            raise ValueError(f"year must be an integer >= 1950, got {self.year!r}")
-        if not isinstance(self.rank, int) or self.rank < 1:
-            raise ValueError(f"rank must be an integer >= 1, got {self.rank!r}")
+        check_count(self.year, "year", 1950)
+        check_count(self.rank, "rank", 1)
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {self.benchmark!r}")
         if not (0 < self.rmax_gflops < math.inf):
@@ -94,9 +92,7 @@ class MachineRecord:
                 f"efficiency rmax/rpeak = {self.rmax_gflops / self.rpeak_gflops!r} "
                 "is below the smallest normal float"
             )
-        if not isinstance(self.cores, int) or self.cores < 1:
-            raise ValueError(f"cores must be an integer >= 1, got {self.cores!r}")
-        if self.cores > sys.float_info.max:
+        if check_count(self.cores, "cores", 1) > sys.float_info.max:
             raise ValueError("cores exceeds the float range")
         if self.architecture not in ARCHITECTURES:
             raise ValueError(

@@ -15,6 +15,8 @@ import statistics
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
+from .errors import check_number
+
 _AXIS_KINDS = ("linear", "log10")
 
 
@@ -198,9 +200,9 @@ def rank_correlation(pairing: RankPairing) -> float:
 
 def is_weak_agreement(rho: float, threshold: float = 0.5) -> bool:
     """True when |rho| falls below the agreement threshold."""
-    if not (0 < threshold <= 1):
+    if not (0 < check_number(threshold, "threshold", -math.inf) <= 1):
         raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
-    return abs(rho) < threshold
+    return abs(check_number(rho, "rho", -math.inf)) < threshold
 
 
 @dataclass(frozen=True)
@@ -231,9 +233,8 @@ def cross_benchmark_ratio(pairs: Sequence[tuple[float, float]],
         raise ValueError(f"band must be increasing and positive, got {band!r}")
     ratios = []
     for first, second in pairs:
-        if not (first > 0 and second > 0):
-            raise ValueError(f"values must be positive, got {(first, second)!r}")
-        ratios.append(second / first)
+        first = check_number(first, "first value", 0, strict=True)
+        ratios.append(check_number(second, "second value", 0, strict=True) / first)
     med = statistics.median(ratios)
     return RatioSummary(
         ratios=tuple(ratios),

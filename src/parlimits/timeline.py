@@ -28,12 +28,13 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Sequence
 
 import numpy as np
 
 from .amdahl import AlphaValue, alpha_eff_from_speedup
-from .errors import DegenerateScenarioError
+from .errors import DegenerateScenarioError, check_count, check_number
 
 _SCALAR_FIELDS = ("sw_pre", "sw_post", "os_pre", "os_post", "access_init", "access_term")
 _PER_UNIT_FIELDS = ("payload_cycles", "dispatch_cycles", "pd_out_cycles", "pd_in_cycles")
@@ -48,17 +49,20 @@ def linear_ramp(n_units: int, max_value: float) -> np.ndarray:
     """Per-unit values rising linearly from 0 (first unit) to max (last).
 
     Returns a new float64 array; value i is max_value * i / (n_units - 1),
-    rounded once per operation. With one unit the ramp has not risen yet,
+    rounded once per operation, or max_value * (i / (n_units - 1)) where
+    the first product overflows. With one unit the ramp has not risen yet,
     so it is [0.0].
     """
-    if n_units < 1:
-        raise ValueError(f"n_units must be >= 1, got {n_units!r}")
+    check_count(n_units, "n_units", 1)
+    max_value = check_number(max_value, "max_value", 0)
     if n_units == 1:
         return np.zeros(1)
-    # A non-finite or overflowing ramp is rejected by TimelineScenario's
-    # validation, with its own message; numpy need not warn about it first.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return max_value * np.arange(n_units, dtype=float) / (n_units - 1)
+    steps = np.arange(n_units, dtype=float)
+    with np.errstate(over="ignore"):
+        ramp = max_value * steps / (n_units - 1)
+    if ramp[-1] == math.inf:
+        ramp = np.where(ramp < math.inf, ramp, max_value * (steps / (n_units - 1)))
+    return ramp
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,23 +90,19 @@ class TimelineScenario:
     access_term: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_units, int) or self.n_units < 1:
-            raise ValueError(f"n_units must be an integer >= 1, got {self.n_units!r}")
+        check_count(self.n_units, "n_units", 1)
         for name in _PER_UNIT_FIELDS:
             object.__setattr__(self, name, self._normalize(name, getattr(self, name)))
         for name in _SCALAR_FIELDS:
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_number(getattr(self, name), name, 0))
 
     def _normalize(self, name: str, value: float | Sequence[float]) -> float | np.ndarray:
-        if isinstance(value, (int, float)):
-            v = float(value)
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-            return v
-        values = np.array(value, dtype=float)
+        if isinstance(value, Real):
+            return check_number(value, name, 0)
+        try:
+            values = np.array(value, dtype=float)
+        except OverflowError:
+            raise ValueError(f"{name} has an integer beyond the float range") from None
         if values.shape != (self.n_units,):
             raise ValueError(
                 f"{name} has {values.size} entries for {self.n_units} units"
@@ -181,15 +181,26 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     prefix = scenario.prefix_cycles
     suffix = scenario.suffix_cycles
 
-    start = prefix + np.cumsum(dispatch)
-    busy = pd_out + payload + pd_in
-    end = start + busy
-    total = float(end.max()) + suffix
-
+    # Finite inputs may add up beyond the float range, which is refused below.
+    with np.errstate(over="ignore"):
+        start = prefix + np.cumsum(dispatch)
+        busy = pd_out + payload + pd_in
+        end = start + busy
+        total = float(end.max()) + suffix
+        payload_sum = float(payload.sum())
+    capacity = n * total
+    if not (math.isfinite(capacity) and math.isfinite(payload_sum)):
+        raise ValueError("scenario cycle totals overflow the float range")
     if total == 0.0:
         raise DegenerateScenarioError("scenario carries no cycles at all")
 
-    alpha = _alpha_of(float(payload.sum()), total, n)
+    if payload_sum == 0.0:
+        # No payload at all: the run is pure overhead, alpha is 0.
+        alpha = AlphaValue(1.0)
+    elif n == 1:
+        alpha = AlphaValue(1.0 - payload_sum / total)
+    else:
+        alpha = alpha_eff_from_speedup(payload_sum / total, n)
 
     # Capacity map: unit i's column carries its dispatch slot and busy
     # segments; unit 0's column also carries the serial prefix and suffix.
@@ -202,16 +213,15 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         "access": scenario.access_init + scenario.access_term,
         "dispatch": float(dispatch.sum()),
         "propagation": float(pd_out.sum() + pd_in.sum()),
-        "payload": float(payload.sum()),
+        "payload": payload_sum,
     }
-    capacity = n * total
     cat_cycles["idle"] = capacity - sum(cat_cycles.values())
     shares = {k: v / capacity for k, v in cat_cycles.items()}
 
     return TimingBreakdown(
         n_units=n,
         total_cycles=total,
-        payload_cycles=float(payload.sum()),
+        payload_cycles=payload_sum,
         payload_cycles_effective=alpha.alpha * total,
         alpha_eff=alpha,
         unit_start=_read_only(start),
@@ -220,15 +230,6 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         unit_idle=_read_only(idle),
         shares=shares,
     )
-
-
-def _alpha_of(payload_sum: float, total: float, n: int) -> AlphaValue:
-    if payload_sum == 0.0:
-        # No payload at all: the run is pure overhead, alpha is 0.
-        return AlphaValue(1.0)
-    if n == 1:
-        return AlphaValue(1.0 - payload_sum / total)
-    return alpha_eff_from_speedup(payload_sum / total, n)
 
 
 # ---- scenario files --------------------------------------------------------
@@ -265,7 +266,7 @@ def parse_scenario(text: str, source: str = "<string>") -> TimelineScenario:
     try:
         n_units = int(value)
     except ValueError:
-        raise ValueError(f"{source}:{lineno}: n_units must be an integer, got {value!r}") from None
+        raise ValueError(f"{source}:{lineno}: n_units: {value!r} is not an integer") from None
 
     kwargs: dict[str, object] = {"n_units": n_units}
     for key, (lineno, value) in raw.items():

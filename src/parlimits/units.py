@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import check_number
+
 # Exact decimal scales relative to flop/s.
 _SCALES: dict[str, float] = {
     "flop/s": 1.0,
@@ -30,8 +32,9 @@ def _scale(unit: str) -> float:
 class PerformanceFigure:
     """A positive computing rate plus the unit it is displayed in.
 
-    value_flops is always the raw rate in flop/s; unit names the scale
-    used by __str__ and in_unit round-trips.
+    value_flops is always the raw rate in flop/s, as a float (+inf where
+    a ceiling overflows); unit names the scale used by __str__ and in_unit
+    round-trips.
     """
 
     value_flops: float
@@ -39,13 +42,13 @@ class PerformanceFigure:
 
     def __post_init__(self) -> None:
         _scale(self.unit)
-        if not (self.value_flops > 0):
-            raise ValueError(f"performance must be positive, got {self.value_flops!r}")
+        object.__setattr__(self, "value_flops", check_number(
+            self.value_flops, "performance", 0, strict=True, finite=False))
 
     @classmethod
     def from_value(cls, value: float, unit: str) -> PerformanceFigure:
         """Build from a number expressed in `unit` (e.g. 11.8, "Gflop/s")."""
-        return cls(value * _scale(unit), unit)
+        return cls(check_number(value, "performance", 0, strict=True) * _scale(unit), unit)
 
     def in_unit(self, unit: str) -> float:
         """The numeric value expressed in `unit`."""
@@ -60,10 +63,7 @@ class PerformanceFigure:
 
 
 def as_flops(value: float | PerformanceFigure) -> float:
-    """Accept either a raw flop/s float or a PerformanceFigure."""
+    """A raw flop/s number or a PerformanceFigure as a finite, positive rate."""
     if isinstance(value, PerformanceFigure):
-        return value.value_flops
-    v = float(value)
-    if not (v > 0):
-        raise ValueError(f"performance must be positive, got {value!r}")
-    return v
+        value = value.value_flops
+    return check_number(value, "performance", 0, strict=True)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -450,6 +451,82 @@ def test_forecast_sweep_to_the_float_range_keeps_the_curve_monotone(tmp_path, ca
         lines = f.read_text(encoding="utf-8").splitlines()[1:]
         r_max = [float(ln.split(",")[1]) for ln in lines]
         assert r_max == sorted(r_max)
+
+
+@pytest.mark.parametrize("flag", ["--marginal-factor=nan", "--marginal-factor=inf",
+                                  "--rpeak-max=0"])
+def test_forecast_nonsense_rate_or_factor_is_input_error(flag, capsys):
+    # A NaN factor passed the "< 1" test, and a zero ceiling was taken for
+    # "not given" and replaced by 10 x target.
+    code, out, err = run(capsys, *FORECAST_ARGS, flag)
+    assert (code, out) == (2, "")
+    assert err.startswith("parlimits: input error:") and err.count("\n") == 1
+
+
+def test_forecast_sweep_to_the_largest_float_warns_nothing(capsys):
+    # 10 ** log10(max float) rounds past the float range inside the log grid.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "forecast", "--target", "1e18", "--per-processor-perf", "1",
+                           "--achieved-one-minus-alpha", "1e-8",
+                           "--rpeak-max", "1.7976931348623157e308")
+    assert (code, err) == (0, "")
+
+
+def test_simulate_cycle_totals_beyond_the_float_range_are_input_error(tmp_path, capsys):
+    p = tmp_path / "huge.scn"
+    p.write_text("n_units = 2\npayload_cycles = 1e308\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "simulate", str(p))
+    assert (code, out) == (2, "")
+    assert err == "parlimits: input error: scenario cycle totals overflow the float range\n"
+
+
+# ---- every numeric input: exit 0, 1 or 2, with at most one line on stderr ---------------
+
+SWEEP_BASES = {
+    "analyze": ["--rank-correlation", "--weak-threshold=0.5"],
+    "bounds": ["--total-cycles=2e13", "--start-stop-cycles=2", "--distance-m=100",
+               "--clock-hz=1e9", "--message-time-s=0", "--context-switch-cycles=1e4",
+               "--n-units=1000", "--dispatch-cycles=1", "--cores-per-group=10",
+               "--mpe-per-group=1"],
+    "forecast": ["--target=1e18", "--per-processor-perf=11.78e9",
+                 "--achieved-one-minus-alpha=3.273e-8", "--marginal-factor=2",
+                 "--rpeak-max=1e19"],
+}
+SWEEP_FLAGS = [(cmd, word.split("=")[0]) for cmd, words in SWEEP_BASES.items()
+               for word in words if "=" in word]
+SWEEP_VALUES = ["nan", "inf", "-inf", "0", "-1", "1e308", "1e400"]
+# simulate takes its numbers from a scenario file: one key of each kind.
+SCENARIO_KEYS = {"n_units": "{}", "payload_cycles": "{}", "dispatch_cycles": "linear:{}",
+                 "pd_in_cycles": "1,{}", "sw_pre": "{}"}
+
+
+def _assert_clean_exit(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and err.count("\n") <= 1, err
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES)
+@pytest.mark.parametrize("cmd, flag", SWEEP_FLAGS)
+def test_every_numeric_flag_exits_cleanly(cmd, flag, value, capsys):
+    argv = [f"{flag}={value}" if word.startswith(flag + "=") else word
+            for word in SWEEP_BASES[cmd]]
+    _assert_clean_exit([cmd, *argv], capsys)
+
+
+@pytest.mark.parametrize("value", SWEEP_VALUES)
+@pytest.mark.parametrize("key", sorted(SCENARIO_KEYS))
+def test_every_numeric_scenario_value_exits_cleanly(key, value, tmp_path, capsys):
+    entries = {"n_units": "2", "payload_cycles": "100", "dispatch_cycles": "10"}
+    entries[key] = SCENARIO_KEYS[key].format(value)
+    p = tmp_path / "sweep.scn"
+    p.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8")
+    _assert_clean_exit(["simulate", str(p)], capsys)
 
 
 # ---- generic behavior ------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Property tests: report rendering against reference renderers, the
-scaling point of every record that validates, and scenario lists against
-float()."""
+scaling point of every record that validates, scenario lists against
+float(), and every public numeric argument against extreme values."""
 from __future__ import annotations
 
 import json
+import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +15,15 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from parlimits import MachineRecord, derive_points  # noqa: E402
+import parlimits  # noqa: E402
+from parlimits import (  # noqa: E402
+    AlphaValue, AmdahlPoint, AxisSpec, BoundReport, MachineRecord, PerformanceFigure,
+    TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification,
+    bound_context_switch, bound_os_looping, bound_propagation, bound_start_stop,
+    cross_benchmark_ratio, derive_points, efficiency, feasibility, fit, is_weak_agreement,
+    linear_ramp, mpe_grouping_effect, p_max, project_trend, required_one_minus_alpha,
+    rmax_from_record, simulate, speedup, virtual_scale,
+)
 from parlimits.cli import ReportDocument  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
 
@@ -167,3 +177,98 @@ def test_per_unit_list_matches_float_reference(tokens):
     nan = np.isnan(expected)
     assert (np.isnan(got) == nan).all()
     assert (got[~nan].view(np.int64) == expected[~nan].view(np.int64)).all()
+
+
+# ---- every public number: a result or a one-line ValueError ----------------------------
+
+SWEEP_VALUES = [0, -0.0, 1, 2, 0.5, 5e-324, 1e-300, 1e300, sys.float_info.max, -1e300,
+                10**400, -10**400, True, math.nan, math.inf, -math.inf, "1"]
+# No int here lies from 1e3 to 2**63, where a unit count would allocate that
+# many array entries; numpy refuses larger sizes with a ValueError.
+assert not [v for v in SWEEP_VALUES if isinstance(v, int) and 1e3 <= v < 2**63]
+
+_TREND = fit([(2010.0, 1e-3), (2017.0, 1e-5)], AxisSpec(y="log10"))
+
+# Each public callable that takes numbers, with valid values for them.
+NUMERIC_CALLS = {
+    "AlphaValue": (AlphaValue, (1e-6,)),
+    "AlphaValue.from_alpha": (AlphaValue.from_alpha, (0.5,)),
+    "AmdahlPoint.from_efficiency": (AmdahlPoint.from_efficiency, (100, 0.5)),
+    "BoundReport": (lambda bound: BoundReport("start-stop", bound, {}), (1e-6,)),
+    "MachineRecord": (lambda year, rank, cores: MachineRecord(
+        "m", year, rank, "HPL", 1.0, 2.0, cores, "MPP", "None"), (2017, 1, 100)),
+    "PerformanceFigure": (PerformanceFigure, (1e9,)),
+    "PerformanceFigure.from_value": (
+        lambda value: PerformanceFigure.from_value(value, "Gflop/s"), (1.0,)),
+    "TimelineScenario": (lambda n, payload, dispatch, sw_pre: simulate(TimelineScenario(
+        n, payload, dispatch, sw_pre=sw_pre)), (2, 100.0, 10.0, 5.0)),
+    "alpha_eff_from_efficiency": (alpha_eff_from_efficiency, (0.5, 100)),
+    "alpha_eff_from_speedup": (alpha_eff_from_speedup, (50.0, 100)),
+    "amplification": (amplification, (0.5,)),
+    "bound_context_switch": (bound_context_switch, (1e4, 2e13)),
+    "bound_os_looping": (bound_os_looping, (1000, 1.0, 2e13)),
+    "bound_propagation": (bound_propagation, (100.0, 1e9, 0.0, 2e13)),
+    "bound_start_stop": (bound_start_stop, (2.0, 2e13)),
+    "cross_benchmark_ratio": (lambda a, b: cross_benchmark_ratio([(a, b)]), (1e-5, 1e-3)),
+    "efficiency": (efficiency, (0.5, 100)),
+    "feasibility": (lambda target, p, achieved, factor: feasibility(
+        target, p, achieved, marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
+    "is_weak_agreement": (is_weak_agreement, (0.3, 0.5)),
+    "linear_ramp": (linear_ramp, (3, 1.0)),
+    "mpe_grouping_effect": (mpe_grouping_effect, (1000, 10, 1, 1.0, 2e13)),
+    "p_max": (p_max, (1e9, 0.5)),
+    "project_trend": (lambda year: project_trend(_TREND, year), (2020.0,)),
+    "required_one_minus_alpha": (required_one_minus_alpha, (1e9, 1e18)),
+    "rmax_from_record": (rmax_from_record, (100, 1e9, 0.5)),
+    "speedup": (speedup, (0.5, 100)),
+    "virtual_scale": (virtual_scale, (1e9, 1e-6, 1e6, 1.0)),
+}
+# Public names that take no number of their own: constants, errors, text
+# and file readers, and result types built from checked inputs.
+NO_NUMERIC_ARGUMENTS = {
+    "AlreadyAchievableError", "AxisSpec", "CONSTANT_ALPHA_CAVEAT", "DegenerateScenarioError",
+    "FeasibilityVerdict", "ForecastCurve", "GroupingEffect", "InconsistentMeasurementError",
+    "Provenance", "RatioSummary", "RecordSet", "ReferenceTable", "RegressionFit",
+    "RejectedRow", "SIGNAL_SPEED", "SchemaError", "TimingBreakdown", "TrendPoint",
+    "UnboundedLimitError", "available_tags", "bundled_dataset", "combined_limit",
+    "csv_text", "derive_points", "load_csv", "load_scenario", "parse_csv", "parse_scenario",
+    "rank_correlation", "reference_table", "simulate", "write_csv",
+}
+# Numbers inside sequences of points or rankings are outside this sweep.
+NESTED_NUMBERS = {"RankPairing", "fit", "fit_by_category"}
+
+
+def _returns_or_raises_value_error(name: str, args) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            NUMERIC_CALLS[name][0](*args)
+        except ValueError as exc:
+            assert "\n" not in str(exc), f"{name}{tuple(args)!r}: {exc}"
+        except Exception as exc:  # noqa: BLE001 - report which call broke the contract
+            pytest.fail(f"{name}{tuple(args)!r} raised {exc!r}")
+
+
+def test_sweep_names_every_public_name():
+    swept = {name.split(".")[0] for name in NUMERIC_CALLS}
+    groups = (swept, NO_NUMERIC_ARGUMENTS, NESTED_NUMBERS)
+    assert set().union(*groups) == set(parlimits.__all__)
+    assert sum(map(len, groups)) == len(parlimits.__all__)
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_CALLS))
+def test_each_numeric_argument_alone_returns_or_raises_value_error(name):
+    func, valid = NUMERIC_CALLS[name]
+    func(*valid)
+    for slot in range(len(valid)):
+        for value in SWEEP_VALUES:
+            _returns_or_raises_value_error(name, valid[:slot] + (value,) + valid[slot + 1:])
+
+
+@pytest.mark.parametrize("name", sorted(NUMERIC_CALLS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_numeric_arguments_together_return_or_raise_value_error(name, data):
+    arity = len(NUMERIC_CALLS[name][1])
+    args = data.draw(st.tuples(*[st.sampled_from(SWEEP_VALUES)] * arity))
+    _returns_or_raises_value_error(name, args)

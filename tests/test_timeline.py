@@ -134,8 +134,18 @@ def test_scenario_rejects_bad_shapes_and_values():
         TimelineScenario(n_units=2, payload_cycles=float("nan"))
     with pytest.raises(ValueError):
         TimelineScenario(n_units=0, payload_cycles=1.0)
+    with pytest.raises(ValueError, match="^n_units must be an integer >= 1, got True$"):
+        TimelineScenario(n_units=True, payload_cycles=1.0)
     with pytest.raises(ValueError):
         TimelineScenario(n_units=2, payload_cycles=1.0, sw_pre=-1.0)
+
+
+def test_linear_ramp_to_the_largest_floats_stays_finite():
+    # max_value * i overflows before the division; those entries come from
+    # max_value * (i / (n - 1)) instead.
+    assert linear_ramp(3, 1e308).tolist() == [0.0, 5e307, 1e308]
+    scenario = parse_scenario("n_units = 3\npayload_cycles = linear:1e308\n")
+    assert scenario.payload_cycles.tolist() == [0.0, 5e307, 1e308]
 
 
 def test_linear_ramp_matches_the_scalar_loop_bit_for_bit():
