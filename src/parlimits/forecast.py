@@ -102,9 +102,12 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
 
     Samples k on a log grid from k_min to k_max; r_peak = k * P and
     r_max = k * P * E(alpha, k). The asymptote is p_max = P / (1-alpha).
+    A sub-serial 1 - alpha, above 1, is refused: its r_max falls with k.
     """
     p = as_flops(per_processor_perf)
     oma = _oma(alpha)
+    if oma > 1.0:
+        raise ValueError(f"a sub-serial 1 - alpha ({oma!r} > 1) has no rising curve")
     k_min = check_number(k_min, "k_min", 1)
     k_max = check_number(k_max, "k_max", k_min)
     if k_max * p == math.inf:

@@ -42,7 +42,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .amdahl import AmdahlPoint, EFFICIENCY_SLACK
-from .errors import SchemaError, check_count
+from .errors import SchemaError, check_count, check_number
 
 CANONICAL_COLUMNS = (
     "name", "year", "rank", "benchmark", "rmax_gflops", "rpeak_gflops",
@@ -77,6 +77,11 @@ class MachineRecord:
         check_count(self.rank, "rank", 1)
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {self.benchmark!r}")
+        if type(self.rmax_gflops) is not float or type(self.rpeak_gflops) is not float:
+            # The CSV reader passes floats; any other number becomes one first.
+            for label in ("rmax_gflops", "rpeak_gflops"):
+                value = check_number(getattr(self, label), label, -math.inf, finite=False)
+                object.__setattr__(self, label, value)
         if not (0 < self.rmax_gflops < math.inf):
             raise ValueError(f"rmax_gflops must be positive and finite, got {self.rmax_gflops!r}")
         if not (0 < self.rpeak_gflops < math.inf):

@@ -25,11 +25,13 @@ so its alpha is reported as the payload fraction of the run itself.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from numbers import Real
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,6 +47,15 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
+@contextmanager
+def _unit_memory(n: int) -> Iterator[None]:
+    """Turn a failed allocation of n-entry arrays into a one-line ValueError."""
+    try:
+        yield
+    except MemoryError:
+        raise ValueError(f"n_units = {n} needs per-unit arrays beyond the available memory") from None
+
+
 def linear_ramp(n_units: int, max_value: float) -> np.ndarray:
     """Per-unit values rising linearly from 0 (first unit) to max (last).
 
@@ -57,12 +68,20 @@ def linear_ramp(n_units: int, max_value: float) -> np.ndarray:
     max_value = check_number(max_value, "max_value", 0)
     if n_units == 1:
         return np.zeros(1)
-    steps = np.arange(n_units, dtype=float)
-    with np.errstate(over="ignore"):
-        ramp = max_value * steps / (n_units - 1)
-    if ramp[-1] == math.inf:
-        ramp = np.where(ramp < math.inf, ramp, max_value * (steps / (n_units - 1)))
-    return ramp
+    with _unit_memory(n_units):
+        steps = np.arange(n_units, dtype=float)
+        with np.errstate(over="ignore"):
+            ramp = max_value * steps / (n_units - 1)
+        if ramp[-1] == math.inf:
+            ramp = np.where(ramp < math.inf, ramp, max_value * (steps / (n_units - 1)))
+        return ramp
+
+
+def _same_units(a: float | np.ndarray, b: float | np.ndarray, n: int) -> bool:
+    """Whether two per-unit values, uniform or not, agree on all n units."""
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b
+    return np.array_equal(np.broadcast_to(a, n), np.broadcast_to(b, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +135,7 @@ class TimelineScenario:
             return NotImplemented
         n = self.n_units
         return n == other.n_units and all(
-            np.array_equal(np.broadcast_to(getattr(self, name), n),
-                           np.broadcast_to(getattr(other, name), n))
+            _same_units(getattr(self, name), getattr(other, name), n)
             for name in _PER_UNIT_FIELDS + _SCALAR_FIELDS
         )
 
@@ -142,8 +160,10 @@ class TimingBreakdown:
     time a perfectly clean run with this alpha would show. It differs
     from the raw payload sum whenever overheads exist.
 
-    unit_start, unit_busy, unit_end and unit_idle are read-only float64
-    arrays of n_units entries each; equality leaves them out.
+    max_end_cycles is the latest unit end time. unit_start, unit_busy,
+    unit_end and unit_idle are read-only float64 arrays of n_units entries
+    each, which unit_arrays builds on first access. Equality leaves all of
+    these out.
     """
 
     n_units: int
@@ -151,14 +171,12 @@ class TimingBreakdown:
     payload_cycles: float
     payload_cycles_effective: float
     alpha_eff: AlphaValue
-    unit_start: np.ndarray = field(compare=False)
-    unit_busy: np.ndarray = field(compare=False)
-    unit_end: np.ndarray = field(compare=False)
-    unit_idle: np.ndarray = field(compare=False)
     shares: dict[str, float] = field(compare=False)
+    max_end_cycles: float = field(compare=False)
+    unit_arrays: Callable[[], tuple[np.ndarray, ...]] = field(compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.total_cycles < self.unit_end.max():
+        if self.total_cycles < self.max_end_cycles:
             raise ValueError("total_cycles below the last unit's end time")
         drift = abs(sum(self.shares.values()) - 1.0)
         if drift > 1e-9:
@@ -167,27 +185,98 @@ class TimingBreakdown:
         if abs(self.payload_cycles_effective - expect) > 1e-12 * max(expect, 1.0):
             raise ValueError("payload_cycles_effective inconsistent with alpha_eff")
 
+    @functools.cached_property
+    def _units(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(values) for values in self.unit_arrays())
+
+    unit_start = property(lambda self: self._units[0])
+    unit_busy = property(lambda self: self._units[1])
+    unit_end = property(lambda self: self._units[2])
+    unit_idle = property(lambda self: self._units[3])
+
+
+def _sums_exactly(value: float | np.ndarray, n: int) -> bool:
+    """True when value is uniform and every partial sum j * value with
+    j <= n is a float exactly.
+
+    With value = m / 2**q, the sum j * value is the integer j * m scaled by a
+    power of two, so n * m <= 2**53 makes a pairwise sum, a running cumsum
+    and the single product n * value all give the same bits. m = 0 counts
+    as 1, which also keeps n exact as a float.
+    """
+    return isinstance(value, float) and n * max(value.as_integer_ratio()[0], 1) <= 2**53
+
+
+def _field_sum(value: float | np.ndarray, n: int) -> float:
+    """A per-unit field summed over n units, with the bits of the array sum."""
+    if _sums_exactly(value, n):
+        return 0.0 + n * value  # as numpy's sum, which starts from 0.0, turns -0.0 into 0.0
+    if isinstance(value, float):
+        value = np.full(n, value)
+    return float(value.sum())
+
+
+# Uniform values broadcast inside each elementwise operation below, which
+# gives the bits of a full array of them.
+
+def _busy(scenario: TimelineScenario) -> float | np.ndarray:
+    """pd_out + payload + pd_in of each unit; a float when all are uniform."""
+    busy = scenario.pd_out_cycles + scenario.payload_cycles
+    busy += scenario.pd_in_cycles
+    return busy
+
+
+def _starts(scenario: TimelineScenario) -> np.ndarray:
+    """prefix plus the running sum of the dispatch slots up to each unit."""
+    start = np.cumsum(np.broadcast_to(scenario.dispatch_cycles, scenario.n_units))
+    start += scenario.prefix_cycles
+    return start
+
+
+def _max_end(scenario: TimelineScenario, busy: float | np.ndarray) -> float:
+    """The latest end time of any unit."""
+    n, dispatch = scenario.n_units, scenario.dispatch_cycles
+    if isinstance(busy, float) and _sums_exactly(dispatch, n):
+        # start_i = prefix + (i + 1) * dispatch never falls, so neither
+        # does end_i = start_i + busy: the last unit ends last.
+        return scenario.prefix_cycles + n * dispatch + busy
+    end = _starts(scenario)
+    end += busy
+    return float(end.max())
+
+
+def _unit_arrays(scenario: TimelineScenario, total: float) -> tuple[np.ndarray, ...]:
+    """start, busy, end and idle arrays of every unit of a simulated run."""
+    n = scenario.n_units
+    with _unit_memory(n):
+        start = _starts(scenario)
+        busy = _busy(scenario)
+        if isinstance(busy, float):
+            busy = np.full(n, busy)
+        # Capacity map: unit i's column carries its dispatch slot and busy
+        # segments; unit 0's column also carries the serial prefix and suffix.
+        idle = np.full(n, total)
+        idle -= scenario.dispatch_cycles
+        idle -= busy
+        idle[0] -= scenario.prefix_cycles + scenario.suffix_cycles
+        return start, busy, start + busy, idle
+
 
 def simulate(scenario: TimelineScenario) -> TimingBreakdown:
-    """Run the dispatch timeline and account for every capacity cycle."""
+    """Run the dispatch timeline and account for every capacity cycle.
+
+    A uniform field whose n values sum exactly (see _sums_exactly) is
+    summed in closed form, and so is the schedule when dispatch is such a
+    field and every busy field is uniform: then the cost does not grow
+    with n_units. The results carry the bits of the full array arithmetic.
+    """
     n = scenario.n_units
-    # Uniform values become full contiguous arrays, so that every sum
-    # below reduces the same n values in the same order as an explicit list.
-    payload, dispatch, pd_out, pd_in = (
-        np.ascontiguousarray(np.broadcast_to(getattr(scenario, name), n))
-        for name in _PER_UNIT_FIELDS
-    )
-
-    prefix = scenario.prefix_cycles
-    suffix = scenario.suffix_cycles
-
     # Finite inputs may add up beyond the float range, which is refused below.
-    with np.errstate(over="ignore"):
-        start = prefix + np.cumsum(dispatch)
-        busy = pd_out + payload + pd_in
-        end = start + busy
-        total = float(end.max()) + suffix
-        payload_sum = float(payload.sum())
+    with _unit_memory(n), np.errstate(over="ignore"):
+        max_end = _max_end(scenario, _busy(scenario))
+        total = max_end + scenario.suffix_cycles
+        payload_sum, dispatch_sum, pd_out_sum, pd_in_sum = (
+            _field_sum(getattr(scenario, name), n) for name in _PER_UNIT_FIELDS)
     capacity = n * total
     if not (math.isfinite(capacity) and math.isfinite(payload_sum)):
         raise ValueError("scenario cycle totals overflow the float range")
@@ -202,17 +291,12 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     else:
         alpha = alpha_eff_from_speedup(payload_sum / total, n)
 
-    # Capacity map: unit i's column carries its dispatch slot and busy
-    # segments; unit 0's column also carries the serial prefix and suffix.
-    idle = total - dispatch - busy
-    idle[0] -= prefix + suffix
-
     cat_cycles = {
         "software": scenario.sw_pre + scenario.sw_post,
         "os": scenario.os_pre + scenario.os_post,
         "access": scenario.access_init + scenario.access_term,
-        "dispatch": float(dispatch.sum()),
-        "propagation": float(pd_out.sum() + pd_in.sum()),
+        "dispatch": dispatch_sum,
+        "propagation": pd_out_sum + pd_in_sum,
         "payload": payload_sum,
     }
     cat_cycles["idle"] = capacity - sum(cat_cycles.values())
@@ -224,11 +308,9 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         payload_cycles=payload_sum,
         payload_cycles_effective=alpha.alpha * total,
         alpha_eff=alpha,
-        unit_start=_read_only(start),
-        unit_busy=_read_only(busy),
-        unit_end=_read_only(end),
-        unit_idle=_read_only(idle),
         shares=shares,
+        max_end_cycles=max_end,
+        unit_arrays=functools.partial(_unit_arrays, scenario, total),
     )
 
 

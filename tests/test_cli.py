@@ -180,7 +180,11 @@ def test_simulate_json_shape(tmp_path, capsys):
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("name", ["three_units", "ramp_1000"])
+# uniform_8 and uniform_1000 were recorded before uniform fields had a
+# closed form; uniform_1e12 is checked against exact arithmetic in
+# test_timeline.py, since no per-unit array of that size fits in memory.
+@pytest.mark.parametrize("name", ["three_units", "ramp_1000", "uniform_8", "uniform_1000",
+                                  "uniform_1e12"])
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 def test_simulate_report_matches_golden_bytes(name, fmt, capsys, monkeypatch):
     # The golden reports name the scenario by its relative path.
@@ -318,6 +322,20 @@ def test_simulate_omits_per_unit_table_for_wide_machines(tmp_path, capsys):
     assert "40 units > 32" in out
 
 
+@pytest.mark.parametrize("dispatch", ["0.1", "linear:1"])
+def test_simulate_beyond_memory_is_one_line_input_error(dispatch, tmp_path, capsys):
+    # 2**56 entries of 8 bytes exceed any 57-bit address space, so the
+    # allocation fails at once without touching memory.
+    n = 2**56
+    p = tmp_path / "vast.scn"
+    p.write_text(f"n_units = {n}\npayload_cycles = 1\ndispatch_cycles = {dispatch}\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "simulate", str(p))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.endswith(f"n_units = {n} needs per-unit arrays beyond the available memory\n")
+
+
 def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys):
     p = tmp_path / "broken.scn"
     p.write_text("n_units = 2\nwat = 5\n", encoding="utf-8")
@@ -419,6 +437,13 @@ def test_forecast_achievable_case(capsys):
                        "--achieved-one-minus-alpha", "5e-9")
     assert code == 0
     assert "achievable" in out
+
+
+def test_forecast_sub_serial_distance_is_input_error(capsys):
+    code, out, err = run(capsys, "forecast", "--target", "1e18", "--per-processor-perf", "1e10",
+                         "--achieved-one-minus-alpha", "2")
+    assert (code, out) == (2, "")
+    assert err == "parlimits: input error: a sub-serial 1 - alpha (2.0 > 1) has no rising curve\n"
 
 
 def test_forecast_trivial_target_is_input_error(capsys):

@@ -26,6 +26,7 @@ from parlimits import (  # noqa: E402
 )
 from parlimits.cli import ReportDocument  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
+from test_timeline import _fields  # noqa: E402
 
 
 # ---- reference renderers ------------------------------------------------------
@@ -179,6 +180,37 @@ def test_per_unit_list_matches_float_reference(tokens):
     assert (got[~nan].view(np.int64) == expected[~nan].view(np.int64)).all()
 
 
+# ---- a uniform field simulates as its full array, bit for bit ---------------------------
+
+@st.composite
+def uniform_values(draw, n: int) -> float:
+    """A per-unit value: dyadic with numerator m, where n * m lies within a
+    factor of 16 of 2**53 on either side; small dyadic; or any float."""
+    kind = draw(st.sampled_from(["edge", "dyadic", "any"]))
+    if kind == "edge":
+        m = ((2**49 << draw(st.integers(0, 8))) // n + draw(st.integers(-2, 2))) | 1
+        return math.ldexp(min(max(m, 1), 2**53 - 1), -draw(st.integers(0, 40)))
+    if kind == "dyadic":
+        return math.ldexp(draw(st.integers(0, 10**6)), -draw(st.integers(0, 10)))
+    return draw(st.floats(0, 1e9) | st.just(-0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2000), serial=st.floats(0, 1e6), data=st.data())
+def test_uniform_fields_simulate_as_their_full_arrays(n, serial, data):
+    values = [data.draw(uniform_values(n), label=name)
+              for name in ("payload", "dispatch", "pd_out", "pd_in")]
+    outcomes = []
+    for form in (float, lambda v: np.full(n, v)):
+        scenario = TimelineScenario(
+            n, *map(form, values), sw_pre=serial, access_term=serial)
+        try:
+            outcomes.append(repr(_fields(simulate(scenario))))  # repr tells -0.0 from 0.0
+        except ValueError as exc:
+            outcomes.append(repr(exc))
+    assert outcomes[0] == outcomes[1]
+
+
 # ---- every public number: a result or a one-line ValueError ----------------------------
 
 SWEEP_VALUES = [0, -0.0, 1, 2, 0.5, 5e-324, 1e-300, 1e300, sys.float_info.max, -1e300,
@@ -195,8 +227,8 @@ NUMERIC_CALLS = {
     "AlphaValue.from_alpha": (AlphaValue.from_alpha, (0.5,)),
     "AmdahlPoint.from_efficiency": (AmdahlPoint.from_efficiency, (100, 0.5)),
     "BoundReport": (lambda bound: BoundReport("start-stop", bound, {}), (1e-6,)),
-    "MachineRecord": (lambda year, rank, cores: MachineRecord(
-        "m", year, rank, "HPL", 1.0, 2.0, cores, "MPP", "None"), (2017, 1, 100)),
+    "MachineRecord": (lambda year, rank, rmax, rpeak, cores: MachineRecord(
+        "m", year, rank, "HPL", rmax, rpeak, cores, "MPP", "None"), (2017, 1, 1.0, 2.0, 100)),
     "PerformanceFigure": (PerformanceFigure, (1e9,)),
     "PerformanceFigure.from_value": (
         lambda value: PerformanceFigure.from_value(value, "Gflop/s"), (1.0,)),

@@ -1,7 +1,11 @@
 """Dispatch-timeline simulation: schedules, shares, effective alpha."""
 from __future__ import annotations
 
+import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,72 @@ def test_scenario_equality_compares_every_unit():
     assert scenario([4.0, 4.0, 4.0]) == scenario(4.0)
     assert scenario(4.0) != scenario(5.0)
     assert scenario(4.0) != TimelineScenario(n_units=4, payload_cycles=4.0, dispatch_cycles=2.0)
+
+
+def test_uniform_scenarios_of_1e12_units_compare_without_arrays():
+    def scenario(payload):
+        return TimelineScenario(n_units=10**12, payload_cycles=payload, dispatch_cycles=0.5)
+
+    assert scenario(4.0) == scenario(4.0)
+    assert scenario(4.0) != scenario(5.0)
+
+
+def test_unit_arrays_are_built_once_on_first_access():
+    calls = []
+    sc = TimelineScenario(n_units=3, payload_cycles=100.0, dispatch_cycles=10.0)
+    plain = simulate(sc)
+
+    def counting_builder():
+        calls.append(1)
+        return plain.unit_arrays()
+
+    out = dataclasses.replace(plain, unit_arrays=counting_builder)
+    assert calls == []
+    assert out.unit_start is out.unit_start
+    assert (out.unit_busy.tolist(), out.unit_end.tolist()) == ([100.0] * 3, [110.0, 120.0, 130.0])
+    assert calls == [1]
+    assert out.max_end_cycles == out.unit_end.max() == 130.0
+
+
+# ---- closed form for uniform fields ---------------------------------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_virtual_machine_of_1e12_units_matches_exact_arithmetic():
+    sc = load_scenario(GOLDEN / "uniform_1e12.scn")
+    out = simulate(sc)
+    n = Fraction(sc.n_units)
+    busy = Fraction(sc.pd_out_cycles) + Fraction(sc.payload_cycles) + Fraction(sc.pd_in_cycles)
+    total = (Fraction(sc.prefix_cycles) + n * Fraction(sc.dispatch_cycles) + busy
+             + Fraction(sc.suffix_cycles))
+    assert out.n_units == 10**12
+    assert Fraction(out.total_cycles) == total
+    assert Fraction(out.payload_cycles) == n * Fraction(sc.payload_cycles)
+    assert out.max_end_cycles == out.total_cycles - sc.suffix_cycles
+
+
+def test_uniform_exact_scenario_holds_no_per_unit_array():
+    sc = TimelineScenario(n_units=10_000_000, payload_cycles=2e6, dispatch_cycles=1.0,
+                          pd_out_cycles=3.0, pd_in_cycles=0.5)
+    tracemalloc.start()
+    try:
+        simulate(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_arrays_beyond_memory_are_a_one_line_value_error():
+    # 2**56 entries of 8 bytes exceed any 57-bit address space, so the
+    # allocation fails at once without touching memory.
+    n = 2**56
+    message = f"^n_units = {n} needs per-unit arrays beyond the available memory$"
+    with pytest.raises(ValueError, match=message):
+        simulate(TimelineScenario(n_units=n, payload_cycles=1.0, dispatch_cycles=0.1))
+    with pytest.raises(ValueError, match=message):
+        linear_ramp(n, 1.0)
 
 
 # ---- invariances --------------------------------------------------------------
