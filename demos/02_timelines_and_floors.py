@@ -33,7 +33,7 @@ print(f"  {floor.describe()}")
 assert measured >= floor.bound
 
 print()
-print("Scale the same story to ten million units (takes a few seconds):")
+print("Scale the same story to ten million units:")
 big = simulate(TimelineScenario(n_units=10_000_000, payload_cycles=2e6,
                                 dispatch_cycles=1.0))
 print(f"  effective 1-alpha: {big.alpha_eff.one_minus_alpha:.3e}")

@@ -34,8 +34,7 @@ no matter how many units are added, and hitting a target instead requires
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (AlreadyAchievableError, InconsistentMeasurementError, UnboundedLimitError,
                      check_count, check_number)
@@ -206,58 +205,24 @@ def _auto_unit(flops: float) -> PerformanceFigure:
 class AmdahlPoint:
     """One machine's measured position in the scaling model.
 
-    Fields are mutually redundant on purpose; construction checks that
-    they actually cohere (efficiency is speedup/k to 1e-12 relative,
-    alpha_eff reproduces the efficiency through the forward map
-    1 / (1 + (k - 1)(1 - alpha)), which has no cancellation near
-    efficiency 1) so a point can never carry a contradictory story.
+    Built from its two measurements, the unit count k >= 2 and the
+    efficiency. speedup = efficiency * k, alpha_eff through the inverse
+    map and amplification = 1 / (1 - alpha) are derived from them once, on
+    construction, so they cannot disagree. An efficiency a hair above 1,
+    inside EFFICIENCY_SLACK, is stored as exactly 1.
     """
 
     k: int
     efficiency: float
-    speedup: float
-    alpha_eff: AlphaValue
-    amplification: float
+    speedup: float = field(init=False)
+    alpha_eff: AlphaValue = field(init=False)
+    amplification: float = field(init=False)
 
     def __post_init__(self) -> None:
-        check_count(self.k, "k", 1)
-        if not (0.0 < self.efficiency <= 1.0):
-            raise ValueError(f"efficiency must be in (0, 1], got {self.efficiency!r}")
-        if self.speedup < 0:
-            raise ValueError(f"speedup must be >= 0, got {self.speedup!r}")
-        if not _close(self.efficiency, self.speedup / self.k):
-            raise ValueError(
-                f"efficiency {self.efficiency!r} != speedup/k {self.speedup / self.k!r}"
-            )
-        oma = self.alpha_eff.one_minus_alpha
-        if self.k >= 2:
-            expect = 1.0 / _denominator(self.k, oma)
-            if not _close(self.efficiency, expect):
-                raise ValueError(
-                    f"alpha_eff {oma!r} inconsistent with efficiency "
-                    f"{self.efficiency!r} (it gives {expect!r})"
-                )
-        if math.isfinite(self.amplification):
-            if not _close(self.amplification * oma, 1.0):
-                raise ValueError("amplification inconsistent with alpha_eff")
-        elif oma * sys.float_info.max >= 1.0:
-            raise ValueError("infinite amplification requires 1 / (1 - alpha) to overflow")
-
-    @classmethod
-    def from_efficiency(cls, k: int, e: float) -> AmdahlPoint:
-        """Build a coherent point from (unit count, measured efficiency)."""
-        check_count(k, "k", 2)
-        a = alpha_eff_from_efficiency(e, k)
-        if e > 1.0:  # survived the slack check inside the inverse map
-            e = 1.0
-        return cls(
-            k=k,
-            efficiency=e,
-            speedup=e * k,
-            alpha_eff=a,
-            amplification=_amplify(a.one_minus_alpha),
-        )
-
-
-def _close(a: float, b: float, rel: float = 1e-12) -> bool:
-    return a == b or abs(a - b) <= rel * max(abs(a), abs(b))
+        check_count(self.k, "k", 2)
+        a = alpha_eff_from_efficiency(self.efficiency, self.k)
+        e = min(float(self.efficiency), 1.0)  # the inverse map has checked it
+        object.__setattr__(self, "efficiency", e)
+        object.__setattr__(self, "speedup", e * self.k)
+        object.__setattr__(self, "alpha_eff", a)
+        object.__setattr__(self, "amplification", _amplify(a.one_minus_alpha))

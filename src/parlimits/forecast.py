@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +36,6 @@ CONSTANT_ALPHA_CAVEAT = (
 # Log-spaced sampling density for scaling sweeps.
 SAMPLES_PER_DECADE = 64
 
-_VERDICTS = ("achievable", "marginal", "not-achievable")
-
 
 @dataclass(frozen=True)
 class ForecastCurve:
@@ -46,14 +43,12 @@ class ForecastCurve:
 
     Both coordinates are in flop/s and must be nondecreasing along the
     sweep; r_max can never exceed r_peak nor the asymptote p_max.
-    overlay carries measured (r_peak, r_max) marks for comparison.
     """
 
     source: str
     samples: tuple[tuple[float, float], ...]
     asymptote_flops: float
-    caveat: str = CONSTANT_ALPHA_CAVEAT
-    overlay: tuple[tuple[float, float], ...] = ()
+    caveat = CONSTANT_ALPHA_CAVEAT  # the same for every curve, so not a field
 
     def __post_init__(self) -> None:
         if not self.samples:
@@ -96,8 +91,7 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
                   alpha: float | AlphaValue,
                   k_max: float,
                   k_min: float = 1.0,
-                  source: str = "",
-                  overlay: Sequence[tuple[float, float]] = ()) -> ForecastCurve:
+                  source: str = "") -> ForecastCurve:
     """Grow a machine of fixed per-unit performance and fixed alpha.
 
     Samples k on a log grid from k_min to k_max; r_peak = k * P and
@@ -124,7 +118,6 @@ def virtual_scale(per_processor_perf: float | PerformanceFigure,
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
         samples=tuple(zip(r_peak.tolist(), r_max.tolist())),
         asymptote_flops=asymptote,
-        overlay=tuple((as_flops(a), as_flops(b)) for a, b in overlay),
     )
 
 
@@ -161,8 +154,7 @@ class FeasibilityVerdict:
 
     required is the loosest (1 - alpha) that still reaches the target;
     achieved is what the design delivers (with the source of that
-    number); verdict is achievable / marginal / not-achievable, where
-    marginal means within marginal_factor of the requirement.
+    number); verdict follows from the two and marginal_factor.
     """
 
     target_flops: float
@@ -170,12 +162,19 @@ class FeasibilityVerdict:
     required: AlphaValue
     achieved: AlphaValue
     achieved_source: str
-    verdict: str
     marginal_factor: float
 
-    def __post_init__(self) -> None:
-        if self.verdict not in _VERDICTS:
-            raise ValueError(f"verdict must be one of {_VERDICTS}, got {self.verdict!r}")
+    @property
+    def verdict(self) -> str:
+        """achievable when achieved <= required, marginal when within
+        marginal_factor above it, not-achievable beyond that."""
+        a = self.achieved.one_minus_alpha
+        r = self.required.one_minus_alpha
+        if a <= r:
+            return "achievable"
+        if a <= self.marginal_factor * r:
+            return "marginal"
+        return "not-achievable"
 
 
 def feasibility(target: float | PerformanceFigure,
@@ -186,7 +185,7 @@ def feasibility(target: float | PerformanceFigure,
                 marginal_factor: float = 2.0) -> FeasibilityVerdict:
     """Judge a target against a design's achieved (1 - alpha).
 
-    achievable exactly when achieved <= required; within
+    The verdict is achievable exactly when achieved <= required; within
     marginal_factor above the requirement counts as marginal. Targets
     below one unit's performance raise AlreadyAchievableError since no
     parallelism question exists there.
@@ -194,22 +193,11 @@ def feasibility(target: float | PerformanceFigure,
     marginal_factor = check_number(marginal_factor, "marginal_factor", 1)
     t = as_flops(target)
     p = as_flops(per_processor_perf)
-    required = required_one_minus_alpha(p, t)
-    achieved_value = achieved if isinstance(achieved, AlphaValue) else AlphaValue(achieved)
-    a = achieved_value.one_minus_alpha
-    r = required.one_minus_alpha
-    if a <= r:
-        verdict = "achievable"
-    elif a <= marginal_factor * r:
-        verdict = "marginal"
-    else:
-        verdict = "not-achievable"
     return FeasibilityVerdict(
         target_flops=t,
         hypothesis=hypothesis or f"P={p:.6g} flop/s",
-        required=required,
-        achieved=achieved_value,
+        required=required_one_minus_alpha(p, t),
+        achieved=achieved if isinstance(achieved, AlphaValue) else AlphaValue(achieved),
         achieved_source=achieved_source,
-        verdict=verdict,
         marginal_factor=marginal_factor,
     )

@@ -326,7 +326,7 @@ def derive_points(records: Iterable[MachineRecord],
                 stacklevel=2,
             )
             continue
-        points.append((rec, AmdahlPoint.from_efficiency(rec.cores, rec.efficiency)))
+        points.append((rec, AmdahlPoint(rec.cores, rec.efficiency)))
     return points
 
 

@@ -33,38 +33,44 @@ class AxisSpec:
                 raise ValueError(f"axis {name} must be one of {_AXIS_KINDS}, got {kind!r}")
 
 
-def _transform(kind: str, value: float) -> float | None:
+def _transform(kind: str, value: float, label: str) -> float | None:
     """Transformed coordinate, or None when the axis cannot express it."""
+    value = check_number(value, label, -math.inf)
     if kind == "log10":
         return math.log10(value) if value > 0 else None
-    return float(value)
+    return value
 
 
 @dataclass(frozen=True)
 class RegressionFit:
     """A line y = slope * x + intercept in transformed axis space.
 
-    n counts the fitted points, n_excluded the ones a log axis had to
-    drop. residuals are per fitted point, transformed space, in the
-    sorted-point order used for fitting. x_range brackets the fitted
-    x values so predictions outside it can be flagged as extrapolation.
+    residuals are per fitted point, transformed space, in the
+    sorted-point order used for fitting; n counts them and rms_residual
+    sums them up. n_excluded counts the points a log axis had to drop.
+    x_range brackets the fitted x values so predictions outside it can be
+    flagged as extrapolation.
     """
 
     category: str
     axes: AxisSpec
     slope: float
     intercept: float
-    n: int
     n_excluded: int
     residuals: tuple[float, ...]
-    rms_residual: float
     x_range: tuple[float, float]
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"a line needs at least 2 points, got {self.n}")
-        if len(self.residuals) != self.n:
-            raise ValueError("one residual per fitted point required")
+
+    @property
+    def n(self) -> int:
+        return len(self.residuals)
+
+    @property
+    def rms_residual(self) -> float:
+        return math.sqrt(math.fsum(r * r for r in self.residuals) / len(self.residuals))
 
     def predict(self, x: float) -> float:
         """Predicted y in transformed space at transformed x."""
@@ -82,8 +88,8 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
     kept: list[tuple[float, float]] = []
     excluded = 0
     for x, y in points:
-        tx = _transform(axes.x, x)
-        ty = _transform(axes.y, y)
+        tx = _transform(axes.x, x, "x")
+        ty = _transform(axes.y, y, "y")
         if tx is None or ty is None:
             excluded += 1
             continue
@@ -99,24 +105,25 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
     if xs[0] == xs[-1]:
         raise ValueError("all x values are equal; the slope is undefined")
 
-    x_mean = math.fsum(xs) / len(xs)
-    y_mean = math.fsum(ys) / len(ys)
-    sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in kept)
-    sxx = math.fsum((x - x_mean) ** 2 for x in xs)
-    slope = sxy / sxx
-    intercept = y_mean - slope * x_mean
-    residuals = tuple(y - (slope * x + intercept) for x, y in kept)
-    rms = math.sqrt(math.fsum(r * r for r in residuals) / len(residuals))
+    try:
+        x_mean = math.fsum(xs) / len(xs)
+        y_mean = math.fsum(ys) / len(ys)
+        sxy = math.fsum((x - x_mean) * (y - y_mean) for x, y in kept)
+        sxx = math.fsum((x - x_mean) ** 2 for x in xs)
+        slope = sxy / sxx
+        intercept = y_mean - slope * x_mean
+    except (OverflowError, ZeroDivisionError):  # a sum overflows, or sxx underflows to 0
+        slope = intercept = math.nan
+    if not (math.isfinite(slope) and math.isfinite(intercept)):
+        raise ValueError("the points spread beyond the float range; no finite line fits them")
 
     return RegressionFit(
         category=category,
         axes=axes,
         slope=slope,
         intercept=intercept,
-        n=len(kept),
         n_excluded=excluded,
-        residuals=residuals,
-        rms_residual=rms,
+        residuals=tuple(y - (slope * x + intercept) for x, y in kept),
         x_range=(xs[0], xs[-1]),
     )
 

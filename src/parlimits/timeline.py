@@ -169,7 +169,6 @@ class TimingBreakdown:
     n_units: int
     total_cycles: float
     payload_cycles: float
-    payload_cycles_effective: float
     alpha_eff: AlphaValue
     shares: dict[str, float] = field(compare=False)
     max_end_cycles: float = field(compare=False)
@@ -181,9 +180,10 @@ class TimingBreakdown:
         drift = abs(sum(self.shares.values()) - 1.0)
         if drift > 1e-9:
             raise ValueError(f"shares sum to 1 {drift:.2e} off; accounting is broken")
-        expect = self.alpha_eff.alpha * self.total_cycles
-        if abs(self.payload_cycles_effective - expect) > 1e-12 * max(expect, 1.0):
-            raise ValueError("payload_cycles_effective inconsistent with alpha_eff")
+
+    @property
+    def payload_cycles_effective(self) -> float:
+        return self.alpha_eff.alpha * self.total_cycles
 
     @functools.cached_property
     def _units(self) -> tuple[np.ndarray, ...]:
@@ -289,7 +289,12 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     elif n == 1:
         alpha = AlphaValue(1.0 - payload_sum / total)
     else:
-        alpha = alpha_eff_from_speedup(payload_sum / total, n)
+        try:
+            alpha = alpha_eff_from_speedup(payload_sum / total, n)
+        except ValueError:  # the speedup underflows, or 1 / speedup overflows
+            raise DegenerateScenarioError(
+                "payload is too small against the total cycles for a finite 1 - alpha"
+            ) from None
 
     cat_cycles = {
         "software": scenario.sw_pre + scenario.sw_post,
@@ -306,7 +311,6 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         n_units=n,
         total_cycles=total,
         payload_cycles=payload_sum,
-        payload_cycles_effective=alpha.alpha * total,
         alpha_eff=alpha,
         shares=shares,
         max_end_cycles=max_end,

@@ -336,6 +336,19 @@ def test_simulate_beyond_memory_is_one_line_input_error(dispatch, tmp_path, caps
     assert err.endswith(f"n_units = {n} needs per-unit arrays beyond the available memory\n")
 
 
+@pytest.mark.parametrize("dispatch", ["1", "1e300"])
+def test_simulate_tiny_payload_is_one_line_degenerate_error(dispatch, tmp_path, capsys):
+    # S = payload / total underflows to 0 with the larger dispatch; with the
+    # smaller, 1 - alpha = (k - S) / ((k - 1) S) overflows.
+    p = tmp_path / "tiny.scn"
+    p.write_text(f"n_units = 2\npayload_cycles = 5e-324\ndispatch_cycles = {dispatch}\n",
+                 encoding="utf-8")
+    code, out, err = run(capsys, "simulate", str(p))
+    assert (code, out) == (2, "")
+    assert err == ("parlimits: input error: payload is too small against the total "
+                   "cycles for a finite 1 - alpha\n")
+
+
 def test_simulate_malformed_scenario_is_input_error(tmp_path, capsys):
     p = tmp_path / "broken.scn"
     p.write_text("n_units = 2\nwat = 5\n", encoding="utf-8")

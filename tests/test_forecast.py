@@ -95,13 +95,6 @@ def test_curve_validation_rejects_nonsense():
         ForecastCurve(source="s", samples=(), asymptote_flops=10.0)
 
 
-def test_curve_carries_overlay_points():
-    overlay = ((1.2e17, 9.3e16),)
-    c = virtual_scale(11.78e9, AlphaValue(3.273e-8), k_max=1e9,
-                      overlay=overlay)
-    assert c.overlay == overlay
-
-
 # ---- curves against a peak-performance axis -----------------------------------
 
 def test_rmax_vs_rpeak_at_published_alpha_levels():
@@ -198,6 +191,16 @@ def test_feasibility_boundaries_are_inclusive():
     assert feasibility(target, perf,
                        AlphaValue(2.0 * required * (1 + 1e-9))).verdict == \
         "not-achievable"
+
+
+@pytest.mark.parametrize("factor", [1.0, 3.0])
+def test_feasibility_boundaries_move_with_marginal_factor(factor):
+    def verdict(achieved):  # required = 1e10 / 1e18 = 1e-8 exactly
+        return feasibility(1e18, 1e10, AlphaValue(achieved), marginal_factor=factor).verdict
+
+    assert verdict(1e-8) == "achievable"
+    assert verdict(factor * 1e-8) == ("achievable" if factor == 1.0 else "marginal")
+    assert verdict(math.nextafter(factor * 1e-8, 1.0)) == "not-achievable"
 
 
 def test_feasibility_marginal_factor_is_configurable():

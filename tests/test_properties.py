@@ -140,6 +140,27 @@ def test_every_valid_record_with_cores_yields_a_point(rpeak, e, cores):
     assert point.k == cores
 
 
+# ---- a point's derived fields agree with its inputs -----------------------------------
+
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(2, 10**7) | st.integers(2, 2**1023),
+       e=(st.floats(sys.float_info.min, 1.0)
+          | st.floats(0.0, 1e-15).map(lambda d: 1.0 - d)))
+@example(k=2, e=1.0 - 2**-53)
+@example(k=10**300, e=1.0 - 2**-52)  # a subnormal 1 - alpha
+@example(k=2**1023, e=sys.float_info.min)
+@example(k=2, e=sys.float_info.min)
+def test_point_fields_reproduce_efficiency_and_amplification(k, e):
+    p = AmdahlPoint(k, e)
+    oma = p.alpha_eff.one_minus_alpha
+    assert p.efficiency == e and p.speedup == e * k
+    assert math.isclose(1.0 / (1.0 + (k - 1) * oma), e, rel_tol=1e-12)
+    if math.isinf(p.amplification):
+        assert oma * sys.float_info.max < 1.0  # 1 / (1 - alpha) overflows
+    else:
+        assert math.isclose(p.amplification * oma, 1.0, rel_tol=1e-12)
+
+
 # ---- explicit per-unit lists parse exactly as float() does ---------------------------
 
 # Pieces of float()'s grammar and of what it rejects: underscores and
@@ -225,7 +246,7 @@ _TREND = fit([(2010.0, 1e-3), (2017.0, 1e-5)], AxisSpec(y="log10"))
 NUMERIC_CALLS = {
     "AlphaValue": (AlphaValue, (1e-6,)),
     "AlphaValue.from_alpha": (AlphaValue.from_alpha, (0.5,)),
-    "AmdahlPoint.from_efficiency": (AmdahlPoint.from_efficiency, (100, 0.5)),
+    "AmdahlPoint": (AmdahlPoint, (100, 0.5)),
     "BoundReport": (lambda bound: BoundReport("start-stop", bound, {}), (1e-6,)),
     "MachineRecord": (lambda year, rank, rmax, rpeak, cores: MachineRecord(
         "m", year, rank, "HPL", rmax, rpeak, cores, "MPP", "None"), (2017, 1, 1.0, 2.0, 100)),
@@ -245,6 +266,7 @@ NUMERIC_CALLS = {
     "efficiency": (efficiency, (0.5, 100)),
     "feasibility": (lambda target, p, achieved, factor: feasibility(
         target, p, achieved, marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
+    "fit": (lambda x, y: fit([(x, y), (2.0, 3.0)], AxisSpec(y="log10")), (1.0, 1.0)),
     "is_weak_agreement": (is_weak_agreement, (0.3, 0.5)),
     "linear_ramp": (linear_ramp, (3, 1.0)),
     "mpe_grouping_effect": (mpe_grouping_effect, (1000, 10, 1, 1.0, 2e13)),
@@ -267,7 +289,7 @@ NO_NUMERIC_ARGUMENTS = {
     "rank_correlation", "reference_table", "simulate", "write_csv",
 }
 # Numbers inside sequences of points or rankings are outside this sweep.
-NESTED_NUMBERS = {"RankPairing", "fit", "fit_by_category"}
+NESTED_NUMBERS = {"RankPairing", "fit_by_category"}
 
 
 def _returns_or_raises_value_error(name: str, args) -> None:

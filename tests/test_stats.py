@@ -50,6 +50,23 @@ def test_vertical_line_is_an_error():
         fit([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
 
 
+@pytest.mark.parametrize("axes", [AxisSpec(), AxisSpec(x="log10", y="log10")])
+@pytest.mark.parametrize("bad", ["1", math.nan, math.inf, -math.inf, 10**400])
+def test_non_numbers_are_one_line_errors_on_either_axis_kind(bad, axes):
+    for point, label in (((bad, 1.0), "x"), ((1.0, bad), "y")):
+        with pytest.raises(ValueError, match=f"^{label} must be a finite number") as info:
+            fit([point, (2.0, 2.0), (3.0, 5.0)], axes=axes)
+        assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("pts", [[(1e300, 1.0), (-1e300, 2.0)],
+                                 [(5e-324, 1.0), (1e-323, 2.0)],
+                                 [(1.0, 1e308), (2.0, -1e308)]])
+def test_points_beyond_the_float_range_of_a_fit_are_an_error(pts):
+    with pytest.raises(ValueError, match="no finite line"):
+        fit(pts)
+
+
 # ---- plain least squares --------------------------------------------------------
 
 def test_exact_line_recovered_exactly():

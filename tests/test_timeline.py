@@ -79,6 +79,13 @@ def test_nothing_to_do_is_rejected():
         simulate(TimelineScenario(n_units=4, payload_cycles=0.0))
 
 
+@pytest.mark.parametrize("dispatch", [1.0, 1e300])
+def test_payload_too_small_for_a_finite_distance_is_degenerate(dispatch):
+    sc = TimelineScenario(n_units=2, payload_cycles=5e-324, dispatch_cycles=dispatch)
+    with pytest.raises(DegenerateScenarioError, match="too small"):
+        simulate(sc)
+
+
 def test_staircase_with_per_unit_values():
     sc = TimelineScenario(n_units=3,
                           payload_cycles=(100.0, 50.0, 10.0),
