@@ -1,9 +1,11 @@
 """Reference tables from published TOP500 and HPCG list data.
 
-Values are transcribed as published, including their rounding; nothing
-here is recomputed. Each table carries a content tag (what-plus-when) so
-reports can cite exactly which table a number came from. Tables are
-lightweight column bundles; use column() to pull one series out.
+The tables hold published measurements only, with their published
+rounding. A value that a law derives from other numbers, such as an
+amplification 1 / (1 - alpha) from cores and efficiency, is computed with
+parlimits.amdahl, not stored. Each table's comment names the test that
+checks it against the packaged data/top500_2017.csv or against a law. A
+content tag (what-plus-when) lets reports cite the table a number came from.
 
 Sources: TOP500 list (June 1993 through November 2017 editions) and the
 HPCG results list, plus processor counts and per-processor performance
@@ -28,27 +30,6 @@ class ReferenceTable:
             if len(row) != len(self.columns):
                 raise ValueError(f"{self.tag}: row {row!r} does not match columns")
 
-    def _index(self, name: str) -> int:
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise KeyError(
-                f"{self.tag}: no column {name!r}; available: {self.columns}"
-            ) from None
-
-    def column(self, name: str) -> tuple:
-        """All values of one column, in row order."""
-        idx = self._index(name)
-        return tuple(row[idx] for row in self.rows)
-
-    def rows_where(self, **equals) -> tuple[tuple, ...]:
-        """Rows whose named columns equal the given values."""
-        idx = {name: self._index(name) for name in equals}
-        return tuple(
-            row for row in self.rows
-            if all(row[idx[name]] == v for name, v in equals.items())
-        )
-
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.rows)
 
@@ -58,6 +39,7 @@ class ReferenceTable:
 
 # Best (1 - alpha) achieved by any listed machine, by list year. The 2016
 # entry is the standout single machine rather than a regression point.
+# Checked by test_forecast.py's test_trend_slope_is_minus_one_sixth_per_year.
 TREND_BEST_ONE_MINUS_ALPHA = ReferenceTable(
     tag="trend-best-one-minus-alpha-1993-2017",
     columns=("year", "one_minus_alpha", "label"),
@@ -68,10 +50,9 @@ TREND_BEST_ONE_MINUS_ALPHA = ReferenceTable(
     ),
 )
 
-# June 2017 HPL list, first 50 entries: processor count and the
-# effective (1 - alpha) implied by the published efficiency. Rows 1-10 are a
-# published cross-check of data/top500_2017.csv, not derived from it (that
-# would compare the CSV with itself); checked by test_ingest.py's
+# June 2017 HPL list, first 50 entries: processor count and the effective
+# (1 - alpha) implied by the published efficiency. Rows 1-10 are checked
+# against data/top500_2017.csv (not derived from it) by test_ingest.py's
 # test_bundle_agrees_with_reference_alpha_distances_within_3_percent.
 TOP50_HPL_2017 = ReferenceTable(
     tag="top50-hpl-2017-06",
@@ -130,9 +111,8 @@ TOP50_HPL_2017 = ReferenceTable(
     ),
 )
 
-# HPCG results of the June 2017 HPL top ten, keyed by HPL rank. A published
-# cross-check of data/top500_2017.csv's HPCG rows; checked by test_ingest.py's
-# test_bundle_agrees_with_reference_alpha_distances_within_3_percent.
+# HPCG results of the June 2017 HPL top ten, keyed by HPL rank; checked by
+# test_ingest.py's test_bundle_agrees_with_reference_alpha_distances_within_3_percent.
 TOP10_HPCG_2017 = ReferenceTable(
     tag="top10-hpcg-2017-06",
     columns=("hpl_rank", "cores", "one_minus_alpha"),
@@ -150,9 +130,8 @@ TOP10_HPCG_2017 = ReferenceTable(
     ),
 )
 
-# Published efficiencies of the same ten machines under both benchmarks. A
-# published cross-check of data/top500_2017.csv; checked by test_ingest.py's
-# test_bundle_agrees_with_reference_efficiencies_within_3_percent.
+# Published efficiencies of the same ten machines under both benchmarks; checked
+# by test_ingest.py's test_bundle_agrees_with_reference_efficiencies_within_3_percent.
 EFFICIENCY_TOP10_2017 = ReferenceTable(
     tag="efficiency-top10-2017-06",
     columns=("cores", "efficiency_hpl", "efficiency_hpcg"),
@@ -171,6 +150,7 @@ EFFICIENCY_TOP10_2017 = ReferenceTable(
 )
 
 # (1 - alpha) by list rank, split by architecture class, November 2000 list.
+# Checked by test_ingest.py's test_architecture_mix_shifted_between_2000_and_2016.
 ARCHITECTURE_2000 = ReferenceTable(
     tag="one-minus-alpha-by-architecture-2000-11",
     columns=("architecture", "rank", "one_minus_alpha"),
@@ -227,7 +207,8 @@ ARCHITECTURE_2000 = ReferenceTable(
     ),
 )
 
-# Same split for the November 2016 list (rank 1 not classified there).
+# Same split for the November 2016 list (rank 1 not classified there); also
+# checked by test_stats.py's test_architecture_classes_decay_at_similar_rates.
 ARCHITECTURE_2016 = ReferenceTable(
     tag="one-minus-alpha-by-architecture-2016-11",
     columns=("architecture", "rank", "one_minus_alpha"),
@@ -285,7 +266,8 @@ ARCHITECTURE_2016 = ReferenceTable(
 )
 
 # Rank under HPL vs rank under HPCG for the nine machines appearing in
-# both top lists, June 2017.
+# both top lists, June 2017. Checked by test_stats.py's
+# test_rank_correlation_on_published_pairs_is_weak.
 RANK_PAIRS_2017 = ReferenceTable(
     tag="rank-pairs-hpl-hpcg-2017-06",
     columns=("rank_hpl", "rank_hpcg"),
@@ -302,7 +284,8 @@ RANK_PAIRS_2017 = ReferenceTable(
     ),
 )
 
-# (1 - alpha) under HPL vs under HPCG for the same nine machines.
+# (1 - alpha) under HPL vs under HPCG for the same nine machines. Checked by
+# test_stats.py's test_published_alpha_pairs_have_plausible_ratio.
 ALPHA_PAIRS_2017 = ReferenceTable(
     tag="alpha-pairs-hpl-hpcg-2017-06",
     columns=("one_minus_alpha_hpl", "one_minus_alpha_hpcg"),
@@ -321,7 +304,8 @@ ALPHA_PAIRS_2017 = ReferenceTable(
 
 # Per-processor HPL performance by rank, November 2016 list, split by
 # processor class as published: A = many-core accelerator chips,
-# N = plain CPUs, G = GPU-accelerated.
+# N = plain CPUs, G = GPU-accelerated. Ranks 1-10 are checked by test_ingest.py's
+# test_per_processor_reference_agrees_with_bundle.
 PER_PROCESSOR_PERF_2016 = ReferenceTable(
     tag="per-processor-gflops-by-rank-2016-11",
     columns=("processor_class", "rank", "gflops"),
@@ -343,56 +327,8 @@ PER_PROCESSOR_PERF_2016 = ReferenceTable(
     ),
 )
 
-# Amplification 1/(1 - alpha) by rank for the same list and classes.
-AMPLIFICATION_2016 = ReferenceTable(
-    tag="amplification-by-rank-2016-11",
-    columns=("processor_class", "rank", "amplification"),
-    rows=(
-        ("A", 2, 0.943e7), ("A", 42, 0.110e7), ("A", 50, 0.676e6),
-        ("N", 1, 0.306e8), ("N", 5, 0.909e7), ("N", 6, 0.629e6),
-        ("N", 7, 0.662e6), ("N", 8, 0.961e7), ("N", 9, 0.457e7),
-        ("N", 10, 0.820e6), ("N", 11, 0.156e7), ("N", 12, 0.275e6),
-        ("N", 13, 0.248e6), ("N", 14, 0.327e6), ("N", 15, 0.124e7),
-        ("N", 16, 0.364e6), ("N", 17, 0.595e6), ("N", 18, 0.641e6),
-        ("N", 19, 0.820e6), ("N", 20, 0.610e6), ("N", 21, 0.266e7),
-        ("N", 22, 0.128e7), ("N", 23, 0.228e7), ("N", 24, 0.444e6),
-        ("N", 25, 0.164e7), ("N", 26, 0.164e7), ("N", 29, 0.329e6),
-        ("N", 31, 0.107e7), ("N", 32, 0.408e6), ("N", 34, 0.192e6),
-        ("N", 35, 0.8e6), ("N", 36, 0.316e6), ("N", 37, 0.116e7),
-        ("N", 38, 0.116e7), ("N", 41, 0.373e6), ("N", 43, 0.207e6),
-        ("N", 44, 0.334e6), ("N", 45, 0.334e6), ("N", 46, 0.806e6),
-        ("N", 47, 0.216e6), ("N", 48, 0.426e6),
-        ("G", 3, 0.124e7), ("G", 4, 0.104e7), ("G", 27, 0.102e6),
-        ("G", 28, 0.114e6), ("G", 30, 0.162e6), ("G", 33, 0.192e6),
-        ("G", 39, 0.735e5), ("G", 40, 0.224e6), ("G", 49, 0.104e6),
-    ),
-)
-
-# Amplification and efficiency grouped by processor family, June 2017.
-AMPLIFICATION_BY_FAMILY_2017 = ReferenceTable(
-    tag="amplification-by-family-2017-06",
-    columns=("family", "cores", "amplification"),
-    rows=(
-        ("Sunway", 12288000, 0.305e8),
-        ("PEZY", 2462640, 0.520e7),
-        ("Spark", 705024, 0.961e7),
-        ("PowerPC", 1572864, 0.911e7),
-        ("Intel", 979968, 0.466e6),
-        ("Intel", 622336, 0.628e6),
-        ("Intel", 556104, 0.664e6),
-        ("Intel+NVIDIA", 361760, 0.12307e7),
-        ("Intel+NVIDIA", 560640, 0.104e7),
-        ("Intel+NVIDIA", 62400, 0.102e6),
-        ("Intel+NVIDIA", 72000, 0.162e6),
-        ("Intel+NVIDIA", 27056, 0.162e6),
-        ("Intel+NVIDIA", 74520, 0.733e5),
-        ("Intel+NVIDIA", 186368, 0.224e6),
-        ("Intel+NVIDIA", 42688, 0.104e6),
-        ("Intel+Intel", 3120000, 0.942e7),
-        ("Intel+Intel", 194616, 0.110e7),
-    ),
-)
-
+# HPL efficiency by processor family, June 2017. Rows whose core count is in
+# the CSV are checked by test_family_efficiency_reference_agrees_with_bundle.
 EFFICIENCY_BY_FAMILY_2017 = ReferenceTable(
     tag="efficiency-by-family-2017-06",
     columns=("family", "cores", "efficiency"),
@@ -417,7 +353,8 @@ EFFICIENCY_BY_FAMILY_2017 = ReferenceTable(
     ),
 )
 
-# Achieved vs peak rate of the November 2017 top ten, in Eflop/s.
+# Achieved vs peak rate of the November 2017 top ten, in Eflop/s. Checked by
+# test_ingest.py's test_rmax_vs_rpeak_reference_agrees_with_bundle.
 RMAX_VS_RPEAK_2017 = ReferenceTable(
     tag="rmax-vs-rpeak-2017-11",
     columns=("name", "rpeak_eflops", "rmax_eflops"),
@@ -435,20 +372,7 @@ RMAX_VS_RPEAK_2017 = ReferenceTable(
     ),
 )
 
-# Measured (rpeak, rmax) marks for scaling-curve overlays: the two
-# machines above under HPL and under HPCG, in Eflop/s.
-SCALING_OVERLAY_2017 = ReferenceTable(
-    tag="scaling-overlay-2017-11",
-    columns=("rpeak_eflops", "rmax_eflops"),
-    rows=(
-        (0.125, 0.093),
-        (0.125, 0.000375),
-        (0.0113, 0.0105),
-        (0.0113, 0.0006),
-    ),
-)
-
-_ALL_TABLES = (
+REFERENCE_TABLES: dict[str, ReferenceTable] = {t.tag: t for t in (
     TREND_BEST_ONE_MINUS_ALPHA,
     TOP50_HPL_2017,
     TOP10_HPCG_2017,
@@ -458,14 +382,9 @@ _ALL_TABLES = (
     RANK_PAIRS_2017,
     ALPHA_PAIRS_2017,
     PER_PROCESSOR_PERF_2016,
-    AMPLIFICATION_2016,
-    AMPLIFICATION_BY_FAMILY_2017,
     EFFICIENCY_BY_FAMILY_2017,
     RMAX_VS_RPEAK_2017,
-    SCALING_OVERLAY_2017,
-)
-
-REFERENCE_TABLES: dict[str, ReferenceTable] = {t.tag: t for t in _ALL_TABLES}
+)}
 
 
 def reference_table(tag: str) -> ReferenceTable:

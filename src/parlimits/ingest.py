@@ -37,7 +37,6 @@ import operator
 import sys
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
@@ -74,7 +73,8 @@ class MachineRecord:
         if not self.name or not self.name.strip():
             raise ValueError("name must be nonempty")
         check_count(self.year, "year", 1950)
-        check_count(self.rank, "rank", 1)
+        if check_count(self.rank, "rank", 1) > sys.float_info.max:
+            raise ValueError("rank exceeds the float range")
         if self.benchmark not in BENCHMARKS:
             raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {self.benchmark!r}")
         if type(self.rmax_gflops) is not float or type(self.rpeak_gflops) is not float:
@@ -129,14 +129,13 @@ class RejectedRow:
 
 @dataclass(frozen=True)
 class Provenance:
-    """Where a record set came from and when it was materialized.
+    """Where a record set came from: a source label and a digest.
 
     sha256 is the hex digest of the UTF-8 encoding of exactly the text
     that was parsed; for load_csv, that is the file's bytes.
     """
 
     source: str
-    loaded_at: str
     sha256: str
 
 
@@ -268,7 +267,7 @@ def parse_csv(text: str, source: str = "<string>",
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return RecordSet(
         records=tuple(records),
-        provenance=Provenance(source=source, loaded_at=_now(), sha256=digest),
+        provenance=Provenance(source=source, sha256=digest),
         rejections=tuple(rejections),
     )
 
@@ -339,7 +338,3 @@ def bundled_dataset() -> RecordSet:
 def bundled_csv_text() -> str:
     """Raw text of the packaged record CSV (e.g. for digests)."""
     return resources.files("parlimits").joinpath("data", _BUNDLED_CSV).read_text("utf-8")
-
-
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()

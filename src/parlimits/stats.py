@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .errors import check_number
+from .errors import check_count, check_number
 
 _AXIS_KINDS = ("linear", "log10")
 
@@ -31,6 +31,10 @@ class AxisSpec:
         for name, kind in (("x", self.x), ("y", self.y)):
             if kind not in _AXIS_KINDS:
                 raise ValueError(f"axis {name} must be one of {_AXIS_KINDS}, got {kind!r}")
+
+
+class _NoLineError(ValueError):
+    """Well-formed points that no finite line fits."""
 
 
 def _transform(kind: str, value: float, label: str) -> float | None:
@@ -95,7 +99,7 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
             continue
         kept.append((tx, ty))
     if len(kept) < 2:
-        raise ValueError(
+        raise _NoLineError(
             f"need at least 2 usable points, got {len(kept)} "
             f"({excluded} excluded by log axes)"
         )
@@ -103,7 +107,7 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
     xs = [p[0] for p in kept]
     ys = [p[1] for p in kept]
     if xs[0] == xs[-1]:
-        raise ValueError("all x values are equal; the slope is undefined")
+        raise _NoLineError("all x values are equal; the slope is undefined")
 
     try:
         x_mean = math.fsum(xs) / len(xs)
@@ -115,7 +119,7 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
     except (OverflowError, ZeroDivisionError):  # a sum overflows, or sxx underflows to 0
         slope = intercept = math.nan
     if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise ValueError("the points spread beyond the float range; no finite line fits them")
+        raise _NoLineError("the points spread beyond the float range; no finite line fits them")
 
     return RegressionFit(
         category=category,
@@ -131,8 +135,9 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
 def fit_by_category(points: Iterable[tuple[str, float, float]],
                     axes: AxisSpec = AxisSpec(),
                     ) -> tuple[dict[str, RegressionFit], dict[str, int]]:
-    """One fit per category; categories with fewer than 2 usable points
-    come back in the second mapping (category -> point count) instead."""
+    """One fit per category; a category no line fits (too few usable points,
+    all x equal, or no finite line) comes back in the second mapping
+    (category -> point count) instead. A malformed point raises."""
     grouped: dict[str, list[tuple[float, float]]] = {}
     for category, x, y in points:
         grouped.setdefault(category, []).append((x, y))
@@ -141,7 +146,7 @@ def fit_by_category(points: Iterable[tuple[str, float, float]],
     for category in sorted(grouped):
         try:
             fits[category] = fit(grouped[category], axes, category=category)
-        except ValueError:
+        except _NoLineError:
             unfit[category] = len(grouped[category])
     return fits, unfit
 
@@ -158,7 +163,7 @@ class RankPairing:
             raise ValueError("duplicate ids in rank pairing")
         n = len(self.entries)
         for side, ranks in (("A", self.ranks_a), ("B", self.ranks_b)):
-            if sorted(ranks) != list(range(1, n + 1)):
+            if sorted(check_count(r, f"ranking {side} rank", 1) for r in ranks) != [*range(1, n + 1)]:
                 raise ValueError(
                     f"ranking {side} must be a permutation of 1..{n}, got {ranks}"
                 )
@@ -173,14 +178,14 @@ class RankPairing:
 
     @classmethod
     def from_raw(cls, entries: Iterable[tuple[Hashable, int, int]]) -> RankPairing:
-        """Densify two raw rankings (any distinct integers, e.g. list
+        """Densify two raw rankings (any distinct integers >= 1, e.g. list
         positions with absentees) into permutations of 1..n, preserving
         order. Tied raw ranks are refused: this pairing has no tie rule."""
         entries = list(entries)
         raw_a = [e[1] for e in entries]
         raw_b = [e[2] for e in entries]
         for side, ranks in (("A", raw_a), ("B", raw_b)):
-            if len(set(ranks)) != len(ranks):
+            if len({check_count(r, f"ranking {side} rank", 1) for r in ranks}) != len(ranks):
                 raise ValueError(f"ranking {side} contains duplicate ranks")
         pos_a = {r: i + 1 for i, r in enumerate(sorted(raw_a))}
         pos_b = {r: i + 1 for i, r in enumerate(sorted(raw_b))}

@@ -115,12 +115,13 @@ def test_analyze_tolerates_efficiency_near_one(tmp_path, capsys):
     "Underflow,2017,2,HPL,1e-300,1e300,64,MPP,None",
     "Subnormal,2017,2,HPL,1e-10,1e300,64,MPP,None",
     "Huge,2017,2,HPL,9.0,10.0," + "1" + "0" * 400 + ",MPP,None",
-], ids=["underflow", "subnormal", "huge-cores"])
+    "Far,2017," + "1" + "0" * 400 + ",HPL,9.0,10.0,64,MPP,None",
+], ids=["underflow", "subnormal", "huge-cores", "huge-rank"])
 def test_analyze_quarantines_records_without_a_point(bad_row, tmp_path, capsys):
     p = tmp_path / "edge.csv"
     p.write_text(HEADER + "\nGood,2017,1,HPL,9.0,10.0,64,MPP,None\n" + bad_row + "\n"
                  "Other,2017,3,HPL,5.0,10.0,64,MPP,None\n", encoding="utf-8")
-    code, out, err = run(capsys, "analyze", "--dataset", str(p))
+    code, out, err = run(capsys, "analyze", "--fits", "--dataset", str(p))
     assert (code, err) == (0, "")
     assert "records: 2" in out
     assert "quarantined: 1" in out

@@ -1,6 +1,7 @@
 """CSV ingest, record validation, bundled dataset, reference tables."""
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import io
@@ -29,6 +30,7 @@ from parlimits import (
 from parlimits.ingest import CANONICAL_COLUMNS
 
 GOLDEN = Path(__file__).parent / "golden"
+REPO = Path(__file__).parent.parent
 
 
 def record(**overrides) -> MachineRecord:
@@ -69,6 +71,7 @@ def test_record_derived_quantities():
     {"rmax_gflops": 1e-300, "rpeak_gflops": 1e300},
     {"rmax_gflops": 1e-10, "rpeak_gflops": 1e300},
     {"cores": 10**400},
+    {"rank": 10**400},
 ])
 def test_record_rejects_bad_fields(overrides):
     with pytest.raises((ValueError, TypeError)):
@@ -153,6 +156,12 @@ def test_duplicate_identity_rejected_at_recordset_level():
     with pytest.raises(ValueError):
         RecordSet(records=(a, b), provenance=parse_csv(
             HEADER + "\n" + GOOD_ROW + "\n", source="unit").provenance)
+
+
+def test_parses_of_the_same_text_compare_equal():
+    text = HEADER + "\n" + GOOD_ROW + "\nBadbox,2017,2,HPL,oops,1.0,64,MPP,None\n"
+    assert parse_csv(text, source="unit") == parse_csv(text, source="unit")
+    assert bundled_dataset() == bundled_dataset()
 
 
 def test_parse_csv_digest_is_of_the_parsed_text():
@@ -360,11 +369,8 @@ EXPECTED_COUNTS = {
     "rank-pairs-hpl-hpcg-2017-06": 9,
     "alpha-pairs-hpl-hpcg-2017-06": 9,
     "per-processor-gflops-by-rank-2016-11": 50,
-    "amplification-by-rank-2016-11": 50,
-    "amplification-by-family-2017-06": 17,
     "efficiency-by-family-2017-06": 17,
     "rmax-vs-rpeak-2017-11": 10,
-    "scaling-overlay-2017-11": 4,
 }
 
 
@@ -374,21 +380,72 @@ def test_all_reference_tables_present_with_expected_sizes():
         assert len(reference_table(tag)) == count
 
 
+def test_every_reference_table_is_read_by_a_check():
+    # A tag that only EXPECTED_COUNTS names is a table no test checks.
+    read = set()
+    for path in [*REPO.joinpath("tests").glob("*.py"), *REPO.joinpath("demos").glob("*.py")]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tree.body = [node for node in tree.body if not (
+            isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "EXPECTED_COUNTS" for t in node.targets))]
+        read.update(node.value for node in ast.walk(tree) if isinstance(node, ast.Constant))
+    assert sorted(set(available_tags()) - read) == []
+
+
 def test_architecture_mix_shifted_between_2000_and_2016():
-    t2000 = reference_table("one-minus-alpha-by-architecture-2000-11")
-    t2016 = reference_table("one-minus-alpha-by-architecture-2016-11")
-    assert len(t2000.rows_where(architecture="MPP")) == 46
-    assert len(t2000.rows_where(architecture="Cluster")) == 3
-    assert len(t2016.rows_where(architecture="MPP")) == 22
-    assert len(t2016.rows_where(architecture="Cluster")) == 27
+    mix2000 = [arch for arch, _, _ in reference_table("one-minus-alpha-by-architecture-2000-11")]
+    mix2016 = [arch for arch, _, _ in reference_table("one-minus-alpha-by-architecture-2016-11")]
+    assert (mix2000.count("MPP"), mix2000.count("Cluster")) == (46, 3)
+    assert (mix2016.count("MPP"), mix2016.count("Cluster")) == (22, 27)
 
 
-def test_table_column_access():
-    t = reference_table("top50-hpl-2017-06")
-    ranks = t.column("rank")
-    assert ranks[0] == 1 and len(ranks) == 50
-    with pytest.raises(KeyError):
-        t.column("nope")
+def test_per_processor_reference_agrees_with_bundle():
+    hpl = {r.rank: r for r in bundled_dataset().benchmark("HPL")}
+    top10 = [row for row in reference_table("per-processor-gflops-by-rank-2016-11")
+             if row[1] <= 10]
+    assert len(top10) == 10
+    for cls, rank, gflops in top10:
+        if (cls, rank) == ("A", 2):
+            # Tianhe-2 reads 9.37 against the CSV's rpeak / cores of 17.60.
+            assert hpl[2].per_processor_gflops / gflops == pytest.approx(1.878, rel=1e-3)
+        elif (cls, rank) == ("G", 5):
+            # Titan's 48.36, and Titan is rank 4; rank 5 is Sequoia.
+            assert (hpl[4].name, hpl[5].name) == ("Titan", "Sequoia")
+            assert hpl[4].per_processor_gflops == pytest.approx(gflops, rel=0.01)
+        else:
+            assert hpl[rank].per_processor_gflops == pytest.approx(gflops, rel=0.01)
+
+
+def test_family_efficiency_reference_agrees_with_bundle():
+    hpl_by_cores = {r.cores: r for r in bundled_dataset().benchmark("HPL")}
+    checked = 0
+    for family, cores, e in reference_table("efficiency-by-family-2017-06"):
+        if family == "Sunway":
+            # Listed with 12,288,000 cores where the CSV has 10,649,600; the
+            # efficiency is the CSV's 0.7415 at printed digits.
+            assert (cores, hpl_by_cores[10_649_600].name) == (12_288_000, "Sunway TaihuLight")
+            assert round(hpl_by_cores[10_649_600].efficiency, 3) == e
+        elif cores in hpl_by_cores:
+            assert hpl_by_cores[cores].efficiency == pytest.approx(e, abs=0.0005)
+            checked += 1
+    assert checked == 7
+
+
+def test_rmax_vs_rpeak_reference_agrees_with_bundle():
+    hpl = {r.name: r for r in bundled_dataset().benchmark("HPL")}
+    table = {name: (rpeak, rmax) for name, rpeak, rmax in reference_table("rmax-vs-rpeak-2017-11")}
+    # The November 2017 list differs from the June 2017 CSV in three rows.
+    assert "Gyoukou" not in hpl  # new on the later list
+    rpeak, _ = table.pop("Trinity")  # upgraded between the two lists
+    assert (rpeak, round(hpl["Trinity"].rpeak_gflops / 1e9, 4)) == (0.0439, 0.0111)
+    rpeak, rmax = table.pop("Sequoia")
+    assert (rmax, round(hpl["Sequoia"].rmax_gflops / 1e9, 5)) == (0.01711, 0.01717)
+    assert hpl["Sequoia"].rpeak_gflops / 1e9 == pytest.approx(rpeak, rel=0.005)
+    del table["Gyoukou"]
+    assert len(table) == 7
+    for name, (rpeak, rmax) in table.items():
+        assert hpl[name].rpeak_gflops / 1e9 == pytest.approx(rpeak, rel=0.005)
+        assert hpl[name].rmax_gflops / 1e9 == pytest.approx(rmax, rel=0.005)
 
 
 def test_unknown_tag_lists_alternatives():

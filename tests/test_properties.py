@@ -18,11 +18,12 @@ from hypothesis import strategies as st  # noqa: E402
 import parlimits  # noqa: E402
 from parlimits import (  # noqa: E402
     AlphaValue, AmdahlPoint, AxisSpec, BoundReport, MachineRecord, PerformanceFigure,
-    TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification,
-    bound_context_switch, bound_os_looping, bound_propagation, bound_start_stop,
-    cross_benchmark_ratio, derive_points, efficiency, feasibility, fit, is_weak_agreement,
-    linear_ramp, mpe_grouping_effect, p_max, project_trend, required_one_minus_alpha,
-    rmax_from_record, simulate, speedup, virtual_scale,
+    RankPairing, TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup,
+    amplification, bound_context_switch, bound_os_looping, bound_propagation,
+    bound_start_stop, cross_benchmark_ratio, derive_points, efficiency, feasibility, fit,
+    fit_by_category, is_weak_agreement, linear_ramp, mpe_grouping_effect, p_max,
+    project_trend, required_one_minus_alpha, rmax_from_record, simulate, speedup,
+    virtual_scale,
 )
 from parlimits.cli import ReportDocument  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
@@ -253,6 +254,10 @@ NUMERIC_CALLS = {
     "PerformanceFigure": (PerformanceFigure, (1e9,)),
     "PerformanceFigure.from_value": (
         lambda value: PerformanceFigure.from_value(value, "Gflop/s"), (1.0,)),
+    "RankPairing": (lambda a, b: RankPairing(
+        (("x", a, b), ("y", 2, 2), ("z", 3, 3))), (1, 1)),
+    "RankPairing.from_raw": (lambda a, b: RankPairing.from_raw(
+        [("x", a, b), ("y", 20, 20), ("z", 30, 30)]), (1, 1)),
     "TimelineScenario": (lambda n, payload, dispatch, sw_pre: simulate(TimelineScenario(
         n, payload, dispatch, sw_pre=sw_pre)), (2, 100.0, 10.0, 5.0)),
     "alpha_eff_from_efficiency": (alpha_eff_from_efficiency, (0.5, 100)),
@@ -267,6 +272,8 @@ NUMERIC_CALLS = {
     "feasibility": (lambda target, p, achieved, factor: feasibility(
         target, p, achieved, marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
     "fit": (lambda x, y: fit([(x, y), (2.0, 3.0)], AxisSpec(y="log10")), (1.0, 1.0)),
+    "fit_by_category": (lambda x, y: fit_by_category(
+        [("a", x, y), ("a", 2.0, 3.0)], AxisSpec(y="log10")), (1.0, 1.0)),
     "is_weak_agreement": (is_weak_agreement, (0.3, 0.5)),
     "linear_ramp": (linear_ramp, (3, 1.0)),
     "mpe_grouping_effect": (mpe_grouping_effect, (1000, 10, 1, 1.0, 2e13)),
@@ -288,8 +295,6 @@ NO_NUMERIC_ARGUMENTS = {
     "csv_text", "derive_points", "load_csv", "load_scenario", "parse_csv", "parse_scenario",
     "rank_correlation", "reference_table", "simulate", "write_csv",
 }
-# Numbers inside sequences of points or rankings are outside this sweep.
-NESTED_NUMBERS = {"RankPairing", "fit_by_category"}
 
 
 def _returns_or_raises_value_error(name: str, args) -> None:
@@ -305,7 +310,7 @@ def _returns_or_raises_value_error(name: str, args) -> None:
 
 def test_sweep_names_every_public_name():
     swept = {name.split(".")[0] for name in NUMERIC_CALLS}
-    groups = (swept, NO_NUMERIC_ARGUMENTS, NESTED_NUMBERS)
+    groups = (swept, NO_NUMERIC_ARGUMENTS)
     assert set().union(*groups) == set(parlimits.__all__)
     assert sum(map(len, groups)) == len(parlimits.__all__)
 

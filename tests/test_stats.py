@@ -131,13 +131,21 @@ def test_fit_matches_polyfit_oracle():
 def test_fit_by_category_splits_and_reports_unfittable():
     pts = [("a", 0.0, 1.0), ("a", 1.0, 3.0), ("a", 2.0, 5.0),
            ("b", 0.0, 2.0), ("b", 1.0, 2.0),
-           ("lonely", 4.0, 4.0)]
+           ("lonely", 4.0, 4.0),
+           ("same-x", 1.0, 1.0), ("same-x", 1.0, 2.0),
+           ("too-wide", 1e300, 1.0), ("too-wide", 2.0, 1.0)]
     fits, unfit = fit_by_category(pts)
     assert sorted(fits) == ["a", "b"]
     assert fits["a"].slope == pytest.approx(2.0, abs=1e-12)
     assert fits["a"].category == "a"
     assert fits["b"].slope == 0.0
-    assert unfit == {"lonely": 1}
+    assert unfit == {"lonely": 1, "same-x": 2, "too-wide": 2}
+
+
+@pytest.mark.parametrize("bad", ["1", math.nan])
+def test_fit_by_category_raises_for_a_malformed_point(bad):
+    with pytest.raises(ValueError, match="^x must be a finite number"):
+        fit_by_category([("a", bad, 1.0), ("a", 2.0, 2.0), ("a", 3.0, 3.0)])
 
 
 def test_architecture_classes_decay_at_similar_rates():
@@ -180,6 +188,14 @@ def test_from_raw_rejects_duplicates():
         RankPairing.from_raw([("x", 1, 1), ("y", 1, 2), ("z", 3, 3)])
     with pytest.raises(ValueError):
         RankPairing.from_raw([("x", 1, 1), ("x", 2, 2)])
+
+
+@pytest.mark.parametrize("rank", [True, 3.0, 0, "3"])
+def test_ranks_must_be_counts(rank):
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        RankPairing(entries=(("a", 1, 1), ("b", 2, 2), ("c", rank, 3)))
+    with pytest.raises(ValueError, match="rank must be an integer >= 1"):
+        RankPairing.from_raw([("a", 10, 1), ("b", 20, 2), ("c", 30, rank)])
 
 
 def test_direct_construction_requires_dense_permutations():
