@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -37,11 +38,27 @@ from .bounds import (
     combined_limit,
     mpe_grouping_effect,
 )
-from .errors import SchemaError
-from .forecast import feasibility, virtual_scale
 from .ingest import bundled_csv_text, derive_points, load_csv, parse_csv
 from .stats import AxisSpec, RankPairing, cross_benchmark_ratio, fit_by_category, is_weak_agreement, rank_correlation
-from .timeline import load_scenario, simulate
+
+
+def _deferred(module: str, name: str):
+    """A stand-in for module.name that imports the module when first called."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(module, __package__), name)(*args, **kwargs)
+    return call
+
+
+# timeline and forecast import numpy, which takes longer to load than an
+# analyze or bounds run takes, so they load on the first simulate or
+# forecast call. The four names stay module-level callables, looked up at
+# call time, because perfbench/spans.py wraps them with setattr; once the CLI
+# writes its own phase traces (ROADMAP, observability), imports inside
+# _cmd_simulate and _cmd_forecast can replace them.
+load_scenario = _deferred(".timeline", "load_scenario")
+simulate = _deferred(".timeline", "simulate")
+feasibility = _deferred(".forecast", "feasibility")
+virtual_scale = _deferred(".forecast", "virtual_scale")
 
 DATASET_ENV_VAR = "PARLIMITS_DATASET"
 
@@ -282,6 +299,12 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
             ("category", "n", "slope", "intercept", "rms_residual"),
             fit_rows,
         )
+        for cat, f in sorted(fits.items()):
+            if f.n_excluded:
+                report.warnings.append(
+                    f"category {cat}: {f.n_excluded} point(s) with one_minus_alpha 0 "
+                    "left out of the log10 fit"
+                )
         for cat, count in sorted(unfit.items()):
             report.warnings.append(
                 f"category {cat}: only {count} point(s), no fit possible"
@@ -293,13 +316,19 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
     }
 
     if args.ratios:
-        if both:
-            names = sorted(both)
-            pairs = [
-                (both[n]["HPL"][1].alpha_eff.one_minus_alpha,
-                 both[n]["HPCG"][1].alpha_eff.one_minus_alpha)
-                for n in names
-            ]
+        # A ratio needs one_minus_alpha > 0 on both sides; efficiency 1 gives 0.
+        names, pairs = [], []
+        for name in sorted(both):
+            pair = (both[name]["HPL"][1].alpha_eff.one_minus_alpha,
+                    both[name]["HPCG"][1].alpha_eff.one_minus_alpha)
+            if 0.0 in pair:
+                zero = " and ".join(b for b, v in zip(("HPL", "HPCG"), pair) if v == 0.0)
+                report.warnings.append(
+                    f"skipping {name!r} in ratios: one_minus_alpha is 0 under {zero}")
+                continue
+            names.append(name)
+            pairs.append(pair)
+        if pairs:
             summary = cross_benchmark_ratio(pairs)
             ratio_rows = [
                 (n, p[0], p[1], r)
@@ -315,6 +344,9 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
                 ("median", "band_low", "band_high", "plausible"),
                 [(summary.median, summary.band[0], summary.band[1], summary.plausible)],
             )
+        elif both:
+            report.warnings.append(
+                "no machine has one_minus_alpha > 0 under both benchmarks; no ratios")
         else:
             report.warnings.append("no machine appears under both benchmarks; no ratios")
 

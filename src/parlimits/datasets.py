@@ -284,8 +284,9 @@ RANK_PAIRS_2017 = ReferenceTable(
     ),
 )
 
-# (1 - alpha) under HPL vs under HPCG for the same nine machines. Checked by
-# test_stats.py's test_published_alpha_pairs_have_plausible_ratio.
+# (1 - alpha) under HPL vs under HPCG for the same nine machines, in the
+# order of the rank pairs. Checked by test_ingest.py's
+# test_alpha_pairs_reference_agrees_with_bundle.
 ALPHA_PAIRS_2017 = ReferenceTable(
     tag="alpha-pairs-hpl-hpcg-2017-06",
     columns=("one_minus_alpha_hpl", "one_minus_alpha_hpcg"),

@@ -129,6 +129,46 @@ def test_analyze_quarantines_records_without_a_point(bad_row, tmp_path, capsys):
     assert "Good" in out and "Other" in out
 
 
+@pytest.mark.parametrize("side", ["HPL", "HPCG"])
+def test_analyze_leaves_efficiency_one_out_of_ratios_and_fits(side, tmp_path, capsys):
+    # rmax == rpeak is legal and gives one_minus_alpha 0: no ratio and no
+    # log10 point exists for it, but every other machine is still analyzed.
+    rows = {("A", "HPL"): "80.0", ("B", "HPL"): "50.0", ("C", "HPL"): "40.0",
+            ("A", "HPCG"): "2.0", ("B", "HPCG"): "1.5", ("C", "HPCG"): "1.0"}
+    rows["A", side] = "100.0"
+    p = tmp_path / "perfect.csv"
+    p.write_text(HEADER + "\n" + "".join(
+        f"{name},2017,{rank},{bench},{rmax},100.0,1000,MPP,None\n"
+        for rank, ((name, bench), rmax) in enumerate(rows.items(), 1)), encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p), "--fits", "--ratios",
+                         "--rank-correlation", "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["warnings"] == [
+        f"category {side}/MPP: 1 point(s) with one_minus_alpha 0 left out of the log10 fit",
+        f"skipping 'A' in ratios: one_minus_alpha is 0 under {side}",
+    ]
+    tables = {t["title"]: t["rows"] for t in doc["tables"]}
+    assert len(tables["scaling points"]) == 6
+    assert {row[0]: row[1] for row in tables["trend fits: log10(one_minus_alpha) vs rank"]} \
+        == {"HPCG/MPP": 3, "HPL/MPP": 3, f"{side}/MPP": 2}
+    assert [row[0] for row in tables["one_minus_alpha ratios HPCG/HPL"]] == ["B", "C"]
+    assert len(tables["ratio summary"]) == 1
+    assert tables["rank agreement HPL vs HPCG"][0][0] == 3
+
+
+def test_analyze_with_no_ratio_left_warns(tmp_path, capsys):
+    p = tmp_path / "all_perfect.csv"
+    p.write_text(HEADER + "\nA,2017,1,HPL,100.0,100.0,1000,MPP,None\n"
+                 "A,2017,1,HPCG,1.0,100.0,1000,MPP,None\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p), "--ratios", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["warnings"] == [
+        "skipping 'A' in ratios: one_minus_alpha is 0 under HPL",
+        "no machine has one_minus_alpha > 0 under both benchmarks; no ratios",
+    ]
+
+
 def test_analyze_empty_but_valid_dataset_warns(tmp_path, capsys):
     p = tmp_path / "empty.csv"
     p.write_text(HEADER + "\n", encoding="utf-8")

@@ -448,6 +448,35 @@ def test_rmax_vs_rpeak_reference_agrees_with_bundle():
         assert hpl[name].rmax_gflops / 1e9 == pytest.approx(rmax, rel=0.005)
 
 
+def test_alpha_pairs_reference_agrees_with_bundle():
+    # Row i is the machine at the HPL rank of rank-pairs row i.
+    rs = bundled_dataset()
+    hpl_names = {rec.rank: rec.name for rec in rs.benchmark("HPL")}
+    hpcg = {rec.name: pt for rec, pt in derive_points(rs.benchmark("HPCG"))}
+    top50 = {rank: oma for rank, _, oma in reference_table("top50-hpl-2017-06")}
+    # Four rows imply another HPCG rmax than the CSV's. Each carries the
+    # table's HPCG 1 - alpha over the CSV's, and the implied rmax against
+    # the CSV's; Sunway's 376 is the rmax the old scaling overlay printed.
+    exceptions = {
+        "Oakforest-PACS": 0.53,  # 714 Tflop/s against 385
+        "Sunway TaihuLight": 1.28,  # 376 Tflop/s against 481
+        "Tianhe-2": 0.96,  # 604 Tflop/s against 580
+        "Trinity": 1.03,  # 177 Tflop/s against 183
+    }
+    pairs = reference_table("alpha-pairs-hpl-hpcg-2017-06")
+    ranks = reference_table("rank-pairs-hpl-hpcg-2017-06")
+    assert len(pairs) == len(ranks) == 9
+    for (rank_hpl, _), (oma_hpl, oma_hpcg) in zip(ranks, pairs):
+        assert oma_hpl == top50[rank_hpl]
+        name = hpl_names[rank_hpl]
+        factor = oma_hpcg / hpcg[name].alpha_eff.one_minus_alpha
+        if name in exceptions:
+            assert factor == pytest.approx(exceptions.pop(name), rel=0.005), name
+        else:
+            assert factor == pytest.approx(1.0, rel=0.03), name
+    assert exceptions == {}
+
+
 def test_unknown_tag_lists_alternatives():
     with pytest.raises(KeyError) as err:
         reference_table("no-such-table")

@@ -255,17 +255,6 @@ def test_weak_agreement_threshold_is_configurable():
 
 # ---- cross-benchmark ratios ----------------------------------------------------------
 
-def test_published_alpha_pairs_have_plausible_ratio():
-    pairs = list(reference_table("alpha-pairs-hpl-hpcg-2017-06"))
-    summary = cross_benchmark_ratio(pairs)
-    assert summary.median == pytest.approx(167.32186732186733, rel=1e-12)
-    assert 1e2 <= summary.median <= 1e3
-    assert summary.plausible
-    assert len(summary.ratios) == 9
-    # flagship machine sits far above the median
-    assert max(summary.ratios) == pytest.approx(953.5594256034219, rel=1e-12)
-
-
 def test_equal_pairs_are_not_plausible_under_default_band():
     summary = cross_benchmark_ratio([(1e-7, 1e-7), (2e-6, 2e-6), (3e-5, 3e-5)])
     assert summary.median == 1.0
