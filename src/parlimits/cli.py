@@ -23,6 +23,7 @@ import functools
 import hashlib
 import importlib
 import json
+import math
 import os
 import sys
 import warnings
@@ -98,7 +99,9 @@ class ReportDocument:
     def to_json(self) -> str:
         """json.dumps(doc, sort_keys=True, indent=2) of the report, byte
         for byte, with the rows of each table encoded in one call of the
-        C encoder instead of the pure-Python one that indent selects."""
+        C encoder instead of the pure-Python one that indent selects. A
+        non-finite cell is the string "inf", "-inf" or "nan", as in the text
+        report: the bare Infinity and NaN tokens are not JSON."""
         head = json.dumps({
             "tool": "parlimits",
             "version": self.version,
@@ -141,14 +144,19 @@ class ReportDocument:
 # carries the cell indentation, and the row boundaries are rewritten after.
 _NO_ROWS = '"rows": []'
 _CELL_INDENT = "\n" + " " * 10
-_ROWS_ENCODER = json.JSONEncoder(separators=("," + _CELL_INDENT, ": "))
+_ROWS_ENCODER = json.JSONEncoder(separators=("," + _CELL_INDENT, ": "), allow_nan=False)
 _ROW_BREAK = "]," + _CELL_INDENT + "["
 
 
 def _json_rows(rows: list[tuple]) -> str:
     # A newline only comes from a separator (strings escape it) and cells are
     # scalars, so _ROW_BREAK only ever stands between two rows.
-    body = _ROWS_ENCODER.encode(rows)[2:-2]
+    try:
+        body = _ROWS_ENCODER.encode(rows)[2:-2]
+    except ValueError:  # a non-finite float: rare, so only then a pass over the cells
+        body = _ROWS_ENCODER.encode([
+            [_cell(c) if isinstance(c, float) and not math.isfinite(c) else c for c in row]
+            for row in rows])[2:-2]
     body = body.replace(_ROW_BREAK, "\n        ],\n        [" + _CELL_INDENT)
     return '"rows": [\n        [' + _CELL_INDENT + body + "\n        ]\n      ]"
 
@@ -299,16 +307,19 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
             ("category", "n", "slope", "intercept", "rms_residual"),
             fit_rows,
         )
-        for cat, f in sorted(fits.items()):
-            if f.n_excluded:
+        def warn_excluded(cat: str, n_excluded: int) -> None:
+            if n_excluded:
                 report.warnings.append(
-                    f"category {cat}: {f.n_excluded} point(s) with one_minus_alpha 0 "
+                    f"category {cat}: {n_excluded} point(s) with one_minus_alpha 0 "
                     "left out of the log10 fit"
                 )
-        for cat, count in sorted(unfit.items()):
+        for cat, f in sorted(fits.items()):
+            warn_excluded(cat, f.n_excluded)
+        for cat, (usable, n_excluded) in sorted(unfit.items()):
             report.warnings.append(
-                f"category {cat}: only {count} point(s), no fit possible"
+                f"category {cat}: only {usable} point(s), no fit possible"
             )
+            warn_excluded(cat, n_excluded)
 
     both = {
         name: entry for name, entry in by_name.items()

@@ -34,7 +34,12 @@ class AxisSpec:
 
 
 class _NoLineError(ValueError):
-    """Well-formed points that no finite line fits."""
+    """Well-formed points that no finite line fits; `usable` of them were
+    expressible on the axes and `excluded` were not."""
+
+    def __init__(self, message: str, usable: int, excluded: int) -> None:
+        super().__init__(message)
+        self.usable, self.excluded = usable, excluded
 
 
 def _transform(kind: str, value: float, label: str) -> float | None:
@@ -101,13 +106,14 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
     if len(kept) < 2:
         raise _NoLineError(
             f"need at least 2 usable points, got {len(kept)} "
-            f"({excluded} excluded by log axes)"
+            f"({excluded} excluded by log axes)", len(kept), excluded
         )
     kept.sort()
     xs = [p[0] for p in kept]
     ys = [p[1] for p in kept]
     if xs[0] == xs[-1]:
-        raise _NoLineError("all x values are equal; the slope is undefined")
+        raise _NoLineError("all x values are equal; the slope is undefined",
+                           len(kept), excluded)
 
     try:
         x_mean = math.fsum(xs) / len(xs)
@@ -119,7 +125,8 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
     except (OverflowError, ZeroDivisionError):  # a sum overflows, or sxx underflows to 0
         slope = intercept = math.nan
     if not (math.isfinite(slope) and math.isfinite(intercept)):
-        raise _NoLineError("the points spread beyond the float range; no finite line fits them")
+        raise _NoLineError("the points spread beyond the float range; no finite line fits them",
+                           len(kept), excluded)
 
     return RegressionFit(
         category=category,
@@ -134,20 +141,21 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
 
 def fit_by_category(points: Iterable[tuple[str, float, float]],
                     axes: AxisSpec = AxisSpec(),
-                    ) -> tuple[dict[str, RegressionFit], dict[str, int]]:
+                    ) -> tuple[dict[str, RegressionFit], dict[str, tuple[int, int]]]:
     """One fit per category; a category no line fits (too few usable points,
-    all x equal, or no finite line) comes back in the second mapping
-    (category -> point count) instead. A malformed point raises."""
+    all x equal, or no finite line) comes back in the second mapping instead,
+    as category -> (usable, excluded): the points the axes could express and
+    those they left out. A malformed point raises."""
     grouped: dict[str, list[tuple[float, float]]] = {}
     for category, x, y in points:
         grouped.setdefault(category, []).append((x, y))
     fits: dict[str, RegressionFit] = {}
-    unfit: dict[str, int] = {}
+    unfit: dict[str, tuple[int, int]] = {}
     for category in sorted(grouped):
         try:
             fits[category] = fit(grouped[category], axes, category=category)
-        except _NoLineError:
-            unfit[category] = len(grouped[category])
+        except _NoLineError as exc:
+            unfit[category] = (exc.usable, exc.excluded)
     return fits, unfit
 
 

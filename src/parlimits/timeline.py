@@ -26,7 +26,6 @@ so its alpha is reported as the payload fraction of the run itself.
 from __future__ import annotations
 
 import functools
-import io
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -389,7 +388,9 @@ def _parse_list(value: str) -> np.ndarray:
     a Python object per item wherever numpy's grammar agrees with float()'s."""
     if not any(c in value for c in _LOADTXT_ONLY_SPACE):
         try:
-            values = np.loadtxt(io.StringIO(value), dtype=float, delimiter=",",
+            # A list of lines, not io.StringIO(value): a StringIO copy costs
+            # 4 bytes per character. loadtxt refuses a line break inside a line.
+            values = np.loadtxt([value], dtype=float, delimiter=",",
                                 comments=None, ndmin=1)
         except ValueError:
             pass

@@ -129,6 +129,10 @@ def test_analyze_quarantines_records_without_a_point(bad_row, tmp_path, capsys):
     assert "Good" in out and "Other" in out
 
 
+def _refuse_non_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("side", ["HPL", "HPCG"])
 def test_analyze_leaves_efficiency_one_out_of_ratios_and_fits(side, tmp_path, capsys):
     # rmax == rpeak is legal and gives one_minus_alpha 0: no ratio and no
@@ -143,18 +147,32 @@ def test_analyze_leaves_efficiency_one_out_of_ratios_and_fits(side, tmp_path, ca
     code, out, err = run(capsys, "analyze", "--dataset", str(p), "--fits", "--ratios",
                          "--rank-correlation", "--json")
     assert (code, err) == (0, "")
-    doc = json.loads(out)
+    doc = json.loads(out, parse_constant=_refuse_non_json)
     assert doc["warnings"] == [
         f"category {side}/MPP: 1 point(s) with one_minus_alpha 0 left out of the log10 fit",
         f"skipping 'A' in ratios: one_minus_alpha is 0 under {side}",
     ]
     tables = {t["title"]: t["rows"] for t in doc["tables"]}
     assert len(tables["scaling points"]) == 6
+    # Its amplification is infinite, spelled as the text report spells it.
+    assert sum(row.count("inf") for row in tables["scaling points"]) == 1
     assert {row[0]: row[1] for row in tables["trend fits: log10(one_minus_alpha) vs rank"]} \
         == {"HPCG/MPP": 3, "HPL/MPP": 3, f"{side}/MPP": 2}
     assert [row[0] for row in tables["one_minus_alpha ratios HPCG/HPL"]] == ["B", "C"]
     assert len(tables["ratio summary"]) == 1
     assert tables["rank agreement HPL vs HPCG"][0][0] == 3
+
+
+def test_analyze_unfit_warning_counts_only_usable_points(tmp_path, capsys):
+    p = tmp_path / "one_usable.csv"
+    p.write_text(HEADER + "\nA,2017,1,HPL,100.0,100.0,1000,MPP,None\n"
+                 "B,2017,2,HPL,50.0,100.0,1000,MPP,None\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p), "--fits", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["warnings"] == [
+        "category HPL/MPP: only 1 point(s), no fit possible",
+        "category HPL/MPP: 1 point(s) with one_minus_alpha 0 left out of the log10 fit",
+    ]
 
 
 def test_analyze_with_no_ratio_left_warns(tmp_path, capsys):

@@ -27,6 +27,7 @@ from parlimits import (  # noqa: E402
 )
 from parlimits.cli import ReportDocument  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
+from test_cli import _refuse_non_json  # noqa: E402
 from test_timeline import _fields  # noqa: E402
 
 
@@ -42,10 +43,17 @@ def _reference_json(doc: ReportDocument) -> str:
         "warnings": doc.warnings,
         "tables": [
             {"title": t.title, "columns": list(t.columns),
-             "rows": [list(r) for r in t.rows]}
+             "rows": [[_reference_json_cell(v) for v in r] for r in t.rows]}
             for t in doc.tables
         ],
     }, sort_keys=True, indent=2) + "\n"
+
+
+def _reference_json_cell(value):
+    # RFC 8259 has no Infinity or NaN: such a cell is spelled as in the text.
+    if isinstance(value, float) and not math.isfinite(value):
+        return _reference_cell(value)
+    return value
 
 
 def _reference_cell(value) -> str:
@@ -118,6 +126,7 @@ def documents(draw):
 @given(documents())
 def test_renderers_match_references(doc):
     assert doc.to_json() == _reference_json(doc)
+    json.loads(doc.to_json(), parse_constant=_refuse_non_json)
     assert doc.to_text() == _reference_text(doc)
 
 
@@ -185,6 +194,8 @@ def _reference_list(value: str):
 @settings(max_examples=500, deadline=None)
 @given(st.lists(LIST_TOKENS, min_size=2, max_size=6))
 @example(["1", "2\n3", "4"])  # two rows of two, four values in all
+@example(["1", "2\r\n3", "4"])  # line breaks that a list of lines and
+@example(["1\r", "2"])  # a StringIO hand to loadtxt differently
 @example(["1_0", "\u0661"])
 @example(["0.5", "2\x1f"])
 def test_per_unit_list_matches_float_reference(tokens):

@@ -139,7 +139,13 @@ def test_fit_by_category_splits_and_reports_unfittable():
     assert fits["a"].slope == pytest.approx(2.0, abs=1e-12)
     assert fits["a"].category == "a"
     assert fits["b"].slope == 0.0
-    assert unfit == {"lonely": 1, "same-x": 2, "too-wide": 2}
+    assert unfit == {"lonely": (1, 0), "same-x": (2, 0), "too-wide": (2, 0)}
+
+
+def test_fit_by_category_counts_points_the_log_axis_left_out():
+    fits, unfit = fit_by_category([("a", 1.0, 0.0), ("a", 2.0, 1.0), ("b", 1.0, 0.0)],
+                                  axes=LOGY)
+    assert (fits, unfit) == ({}, {"a": (1, 1), "b": (0, 1)})
 
 
 @pytest.mark.parametrize("bad", ["1", math.nan])
