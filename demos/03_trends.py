@@ -5,7 +5,6 @@ per-architecture distributions, and the rank agreement between the two
 standard benchmarks.
 """
 from parlimits import (
-    AxisSpec,
     RankPairing,
     fit,
     fit_by_category,
@@ -15,11 +14,9 @@ from parlimits import (
     reference_table,
 )
 
-LOGY = AxisSpec(x="linear", y="log10")
-
 trend = reference_table("trend-best-one-minus-alpha-1993-2017")
 pts = [(float(y), v) for y, v, label in trend if label == "list-best"]
-f = fit(pts, axes=LOGY, category="best 1-alpha")
+f = fit(pts, category="best 1-alpha")
 print("Best recorded 1 - alpha, 1993 -> 2017:")
 for year, value in pts:
     print(f"  {year:.0f}: {value:.0e}")
@@ -33,8 +30,7 @@ print(f"projected 2029 value: {p.value:.2e}"
 print()
 print("Do different architecture classes decay differently down the list?")
 table = reference_table("one-minus-alpha-by-architecture-2016-11")
-fits, unfit = fit_by_category(
-    [(arch, float(rank), v) for arch, rank, v in table], axes=LOGY)
+fits, unfit = fit_by_category([(arch, float(rank), v) for arch, rank, v in table])
 for arch, fr in sorted(fits.items()):
     print(f"  {arch:<8} slope {fr.slope:+.5f} decades/rank over {fr.n} rows")
 print("  both classes drift upward at similar rates: the serial residue")

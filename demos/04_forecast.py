@@ -18,7 +18,7 @@ MEASURED = AlphaValue(3.273e-8)
 ceiling = p_max(PER_PROC, MEASURED)
 print(f"Per-processor speed {PER_PROC:.3g} flop/s with 1-alpha ="
       f" {MEASURED.one_minus_alpha:.3e}")
-print(f"gives a hard ceiling of {ceiling} no matter how many units you add.")
+print(f"gives a hard ceiling of {ceiling / 1e15:.6g} Pflop/s no matter how many units you add.")
 
 print()
 need = required_one_minus_alpha(PER_PROC, 1e18)

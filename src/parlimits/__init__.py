@@ -3,8 +3,8 @@
 The package answers four kinds of question about massively parallel
 systems, all built on the same serial-fraction scaling law:
 
-  * amdahl / units: speedups, efficiencies, effective parallel
-    fractions, and the hard performance ceiling they imply.
+  * amdahl: speedups, efficiencies, effective parallel fractions, and
+    the hard performance ceiling they imply, as a rate in flop/s.
   * timeline / bounds: where the serial fraction physically comes from,
     via a cycle-level dispatch timeline and design-number floors.
   * ingest / datasets / stats: published machine-list records, their
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in {
     "amdahl": ("AlphaValue", "AmdahlPoint", "alpha_eff_from_efficiency",
                "alpha_eff_from_speedup", "amplification", "efficiency", "p_max",
-               "required_one_minus_alpha", "rmax_from_record", "speedup"),
+               "required_one_minus_alpha", "speedup"),
     "bounds": ("SIGNAL_SPEED", "BoundReport", "GroupingEffect", "bound_context_switch",
                "bound_os_looping", "bound_propagation", "bound_start_stop",
                "combined_limit", "mpe_grouping_effect"),
@@ -36,12 +36,11 @@ _EXPORTS = {name: module for module, names in {
                  "TrendPoint", "feasibility", "project_trend", "virtual_scale"),
     "ingest": ("MachineRecord", "Provenance", "RecordSet", "RejectedRow", "bundled_dataset",
                "csv_text", "derive_points", "load_csv", "parse_csv", "write_csv"),
-    "stats": ("AxisSpec", "RankPairing", "RatioSummary", "RegressionFit",
+    "stats": ("RankPairing", "RatioSummary", "RegressionFit",
               "cross_benchmark_ratio", "fit", "fit_by_category", "is_weak_agreement",
               "rank_correlation"),
     "timeline": ("TimelineScenario", "TimingBreakdown", "linear_ramp", "load_scenario",
                  "parse_scenario", "simulate"),
-    "units": ("PerformanceFigure",),
 }.items() for name in names}
 
 __all__ = sorted(_EXPORTS)

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 from .errors import (AlreadyAchievableError, InconsistentMeasurementError, UnboundedLimitError,
                      check_count, check_number)
-from .units import PerformanceFigure, as_flops
 
 # Measured efficiencies may land a hair above 1 from rounding in the source
 # data; anything inside this relative band is snapped to exactly 1.
@@ -144,42 +143,33 @@ def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:
     return AlphaValue((1.0 - e) / (e * (k - 1.0)))
 
 
-def p_max(per_processor_perf: float | PerformanceFigure,
-          alpha: float | AlphaValue) -> PerformanceFigure:
-    """The performance ceiling P / (1 - alpha) for unlimited unit counts."""
-    p = as_flops(per_processor_perf)
+def p_max(per_processor_perf: float, alpha: float | AlphaValue) -> float:
+    """The performance ceiling P / (1 - alpha) in flop/s for unlimited unit
+    counts; inf where the quotient overflows."""
+    p = check_number(per_processor_perf, "performance", 0, strict=True)
     oma = _oma(alpha)
     if oma == 0.0:
         raise UnboundedLimitError(
             "alpha is exactly 1, so performance grows without bound; "
             "no finite ceiling exists"
         )
-    return _auto_unit(p / oma)
+    return p / oma
 
 
-def required_one_minus_alpha(per_processor_perf: float | PerformanceFigure,
-                             target: float | PerformanceFigure) -> AlphaValue:
+def required_one_minus_alpha(per_processor_perf: float, target: float) -> AlphaValue:
     """The largest (1 - alpha) that still allows `target`: P / target.
 
     A target below the single-unit performance needs no parallelism at
     all, which is reported as a distinct condition rather than a value
     above 1.
     """
-    p = as_flops(per_processor_perf)
-    t = as_flops(target)
+    p = check_number(per_processor_perf, "performance", 0, strict=True)
+    t = check_number(target, "performance", 0, strict=True)
     if t < p:
         raise AlreadyAchievableError(
             f"target {t!r} flop/s is below single-unit performance {p!r} flop/s"
         )
     return AlphaValue(p / t)
-
-
-def rmax_from_record(k: float, per_processor_perf: float | PerformanceFigure,
-                     alpha: float | AlphaValue) -> PerformanceFigure:
-    """Achievable rate of a k-unit machine: r_max = k * P * E(alpha, k)."""
-    k = check_number(k, "k", 1)
-    p = as_flops(per_processor_perf)
-    return _auto_unit(k * p * efficiency(alpha, k))
 
 
 def amplification(alpha: float | AlphaValue) -> float:
@@ -190,15 +180,6 @@ def amplification(alpha: float | AlphaValue) -> float:
 def _amplify(oma: float) -> float:
     # inf also where 1 / oma overflows, i.e. for subnormal oma.
     return math.inf if oma == 0.0 else 1.0 / oma
-
-
-def _auto_unit(flops: float) -> PerformanceFigure:
-    """Tag a raw rate with the largest unit that keeps the value >= 1."""
-    for unit in ("Eflop/s", "Pflop/s", "Tflop/s", "Gflop/s"):
-        fig = PerformanceFigure(flops, unit)
-        if fig.in_unit(unit) >= 1.0:
-            return fig
-    return PerformanceFigure(flops, "flop/s")
 
 
 @dataclass(frozen=True, slots=True)

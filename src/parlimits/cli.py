@@ -40,7 +40,7 @@ from .bounds import (
     mpe_grouping_effect,
 )
 from .ingest import bundled_csv_text, derive_points, load_csv, parse_csv
-from .stats import AxisSpec, RankPairing, cross_benchmark_ratio, fit_by_category, is_weak_agreement, rank_correlation
+from .stats import RankPairing, cross_benchmark_ratio, fit_by_category, is_weak_agreement, rank_correlation
 
 
 def _deferred(module: str, name: str):
@@ -297,7 +297,7 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
              point.alpha_eff.one_minus_alpha)
             for rec, point in points
         ]
-        fits, unfit = fit_by_category(cat_points, AxisSpec(x="linear", y="log10"))
+        fits, unfit = fit_by_category(cat_points)
         fit_rows = [
             (cat, f.n, f.slope, f.intercept, f.rms_residual)
             for cat, f in sorted(fits.items())

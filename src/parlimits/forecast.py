@@ -26,7 +26,6 @@ import numpy as np
 from .amdahl import AlphaValue, _denominator, _oma, required_one_minus_alpha
 from .errors import check_number
 from .stats import RegressionFit
-from .units import PerformanceFigure, as_flops
 
 CONSTANT_ALPHA_CAVEAT = (
     "assumes (1 - alpha) stays fixed as the machine grows; dispatch and "
@@ -87,26 +86,24 @@ def _log_grid(lo: float, hi: float) -> np.ndarray:
     return grid
 
 
-def virtual_scale(per_processor_perf: float | PerformanceFigure,
+def virtual_scale(per_processor_perf: float,
                   alpha: float | AlphaValue,
                   k_max: float,
-                  k_min: float = 1.0,
                   source: str = "") -> ForecastCurve:
     """Grow a machine of fixed per-unit performance and fixed alpha.
 
-    Samples k on a log grid from k_min to k_max; r_peak = k * P and
+    Samples k on a log grid from 1 to k_max; r_peak = k * P and
     r_max = k * P * E(alpha, k). The asymptote is p_max = P / (1-alpha).
     A sub-serial 1 - alpha, above 1, is refused: its r_max falls with k.
     """
-    p = as_flops(per_processor_perf)
+    p = check_number(per_processor_perf, "performance", 0, strict=True)
     oma = _oma(alpha)
     if oma > 1.0:
         raise ValueError(f"a sub-serial 1 - alpha ({oma!r} > 1) has no rising curve")
-    k_min = check_number(k_min, "k_min", 1)
-    k_max = check_number(k_max, "k_max", k_min)
+    k_max = check_number(k_max, "k_max", 1.0)
     if k_max * p == math.inf:
         raise ValueError("the sweep's end k_max * P overflows the float range")
-    ks = _log_grid(k_min, k_max)
+    ks = _log_grid(1.0, k_max)
     r_peak = ks * p
     # The quotient can lose an ulp between neighbouring samples at large k,
     # and is 0 where the denominator overflows; the running maximum keeps
@@ -136,10 +133,6 @@ def project_trend(trend: RegressionFit, year: float) -> TrendPoint:
     Years outside the fitted range are flagged extrapolated; the value
     still comes back, the flag is the caveat.
     """
-    if trend.axes.y != "log10" or trend.axes.x != "linear":
-        raise ValueError(
-            f"trend must be fit with linear x and log10 y, got {trend.axes}"
-        )
     year = check_number(year, "year", -math.inf)
     try:
         value = 10.0 ** trend.predict(year)
@@ -177,11 +170,10 @@ class FeasibilityVerdict:
         return "not-achievable"
 
 
-def feasibility(target: float | PerformanceFigure,
-                per_processor_perf: float | PerformanceFigure,
+def feasibility(target: float,
+                per_processor_perf: float,
                 achieved: float | AlphaValue,
                 achieved_source: str = "measured",
-                hypothesis: str = "",
                 marginal_factor: float = 2.0) -> FeasibilityVerdict:
     """Judge a target against a design's achieved (1 - alpha).
 
@@ -191,11 +183,11 @@ def feasibility(target: float | PerformanceFigure,
     parallelism question exists there.
     """
     marginal_factor = check_number(marginal_factor, "marginal_factor", 1)
-    t = as_flops(target)
-    p = as_flops(per_processor_perf)
+    t = check_number(target, "performance", 0, strict=True)
+    p = check_number(per_processor_perf, "performance", 0, strict=True)
     return FeasibilityVerdict(
         target_flops=t,
-        hypothesis=hypothesis or f"P={p:.6g} flop/s",
+        hypothesis=f"P={p:.6g} flop/s",
         required=required_one_minus_alpha(p, t),
         achieved=achieved if isinstance(achieved, AlphaValue) else AlphaValue(achieved),
         achieved_source=achieved_source,

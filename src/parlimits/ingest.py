@@ -4,11 +4,10 @@ The canonical table layout is CSV with columns
 
     name,year,rank,benchmark,rmax_gflops,rpeak_gflops,cores,architecture,accelerator
 
-Different list exports use different headers, so load_csv accepts an
-alias map from canonical names to whatever the file calls them. A file
-with unusable headers fails as a whole; a row that fails validation is
-quarantined with its row number and reason, never silently dropped, and
-never aborts the rest of the file.
+A file whose header lacks one of these columns fails as a whole (an
+export with other header names is renamed first); a row that fails
+validation is quarantined with its row number and reason, never silently
+dropped, and never aborts the rest of the file.
 
 parse_csv reads the text in one pass of csv.reader, with the rules of
 csv.DictReader: blank lines are skipped and not counted as rows, a
@@ -169,24 +168,6 @@ class RecordSet:
         return len(self.records)
 
 
-def _resolve_header(header: Sequence[str],
-                    aliases: Mapping[str, str] | None) -> dict[str, str]:
-    """Map canonical column -> actual column, or fail with what is missing."""
-    aliases = aliases or {}
-    sources = [aliases.get(col, col) for col in CANONICAL_COLUMNS]
-    shared = sorted({src for src in sources if sources.count(src) > 1})
-    if shared:
-        raise SchemaError(f"several columns are read from the same source column {shared}")
-    actual = dict(zip(sources, CANONICAL_COLUMNS))
-    present = set(header)
-    missing = [src for src in actual if src not in present]
-    if missing:
-        raise SchemaError(
-            f"missing columns {sorted(missing)}; header has {sorted(present)}"
-        )
-    return {canon: src for src, canon in actual.items()}
-
-
 def _as_int(text: str, column: str) -> int:
     text = text.strip()
     try:
@@ -207,33 +188,30 @@ _CONVERTERS = {"year": _as_int, "rank": _as_int, "cores": _as_int,
                "rmax_gflops": _as_float, "rpeak_gflops": _as_float}
 
 
-def _reject_short_row(row: Sequence[str], index: Sequence[int],
-                      columns: Sequence[str]) -> None:
+def _reject_short_row(row: Sequence[str], index: Sequence[int]) -> None:
     """Raise for the first cell of a short row, in canonical order, that is
     bad or missing."""
-    for canon, i, column in zip(CANONICAL_COLUMNS, index, columns):
+    for column, i in zip(CANONICAL_COLUMNS, index):
         if i >= len(row):
             raise ValueError(f"row is short a value for {column!r}")
-        if canon in _CONVERTERS:
-            _CONVERTERS[canon](row[i], column)
+        if column in _CONVERTERS:
+            _CONVERTERS[column](row[i], column)
 
 
-def parse_csv(text: str, source: str = "<string>",
-              aliases: Mapping[str, str] | None = None) -> RecordSet:
+def parse_csv(text: str, source: str = "<string>") -> RecordSet:
     """Parse CSV text into a RecordSet; bad rows land in rejections."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header is None:
         raise SchemaError(f"{source}: file is empty, no header present")
-    colmap = _resolve_header(header, aliases)
-    columns = [colmap[canon] for canon in CANONICAL_COLUMNS]
     # A repeated header name refers to its last column.
     position = {col: i for i, col in enumerate(header)}
-    index = [position[col] for col in columns]
+    missing = [col for col in CANONICAL_COLUMNS if col not in position]
+    if missing:
+        raise SchemaError(f"missing columns {sorted(missing)}; header has {sorted(position)}")
+    index = [position[col] for col in CANONICAL_COLUMNS]
     width = max(index) + 1
     pick = operator.itemgetter(*index)
-    c_year, c_rank, c_rmax, c_rpeak, c_cores = (
-        colmap[c] for c in ("year", "rank", "rmax_gflops", "rpeak_gflops", "cores"))
 
     records: list[MachineRecord] = []
     rejections: list[RejectedRow] = []
@@ -246,12 +224,12 @@ def parse_csv(text: str, source: str = "<string>",
         row_number += 1
         try:
             if len(row) < width:
-                _reject_short_row(row, index, columns)
+                _reject_short_row(row, index)
             name, year, rank, benchmark, rmax, rpeak, cores, architecture, accelerator = pick(row)
             rec = MachineRecord(
-                name.strip(), _as_int(year, c_year), _as_int(rank, c_rank), benchmark.strip(),
-                _as_float(rmax, c_rmax), _as_float(rpeak, c_rpeak), _as_int(cores, c_cores),
-                architecture.strip(), accelerator.strip(),
+                name.strip(), _as_int(year, "year"), _as_int(rank, "rank"), benchmark.strip(),
+                _as_float(rmax, "rmax_gflops"), _as_float(rpeak, "rpeak_gflops"),
+                _as_int(cores, "cores"), architecture.strip(), accelerator.strip(),
             )
             key = (rec.year, rec.benchmark, rec.rank)
             if key in seen:
@@ -283,10 +261,10 @@ def _raw_cells(header: Sequence[str], row: Sequence[str]) -> dict:
     return raw
 
 
-def load_csv(path: str, aliases: Mapping[str, str] | None = None) -> RecordSet:
+def load_csv(path: str) -> RecordSet:
     """Load a record CSV from disk."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return parse_csv(fh.read(), source=str(path), aliases=aliases)
+        return parse_csv(fh.read(), source=str(path))
 
 
 def write_csv(records: Iterable[MachineRecord], path: str) -> None:

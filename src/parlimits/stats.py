@@ -1,12 +1,11 @@
-"""Small statistics layer for list data: straight-line fits in chosen
-axis spaces, per-category fits, Spearman rank correlation, and
-cross-benchmark ratio summaries.
+"""Small statistics layer for list data: straight-line fits of log10 y
+on x, per-category fits, Spearman rank correlation, and cross-benchmark
+ratio summaries.
 
-Fits are ordinary least squares on (possibly log10-transformed) values,
-computed with centered sums. Points a log10 axis cannot represent
-(zero or negative) are excluded and counted, never silently eaten.
-Points are sorted before summation so the result is exactly independent
-of input order.
+Fits are ordinary least squares of log10 y on x, computed with centered
+sums. Points with y <= 0, which have no log10, are excluded and counted,
+never silently eaten. Points are sorted before summation so the result
+is exactly independent of input order.
 """
 from __future__ import annotations
 
@@ -17,52 +16,27 @@ from typing import Hashable, Iterable, Sequence
 
 from .errors import check_count, check_number
 
-_AXIS_KINDS = ("linear", "log10")
-
-
-@dataclass(frozen=True)
-class AxisSpec:
-    """How to transform each coordinate before fitting."""
-
-    x: str = "linear"
-    y: str = "linear"
-
-    def __post_init__(self) -> None:
-        for name, kind in (("x", self.x), ("y", self.y)):
-            if kind not in _AXIS_KINDS:
-                raise ValueError(f"axis {name} must be one of {_AXIS_KINDS}, got {kind!r}")
-
-
 class _NoLineError(ValueError):
-    """Well-formed points that no finite line fits; `usable` of them were
-    expressible on the axes and `excluded` were not."""
+    """Well-formed points that no finite line fits; `usable` of them had a
+    positive y and `excluded` did not."""
 
     def __init__(self, message: str, usable: int, excluded: int) -> None:
         super().__init__(message)
         self.usable, self.excluded = usable, excluded
 
 
-def _transform(kind: str, value: float, label: str) -> float | None:
-    """Transformed coordinate, or None when the axis cannot express it."""
-    value = check_number(value, label, -math.inf)
-    if kind == "log10":
-        return math.log10(value) if value > 0 else None
-    return value
-
-
 @dataclass(frozen=True)
 class RegressionFit:
-    """A line y = slope * x + intercept in transformed axis space.
+    """A line log10 y = slope * x + intercept.
 
-    residuals are per fitted point, transformed space, in the
-    sorted-point order used for fitting; n counts them and rms_residual
-    sums them up. n_excluded counts the points a log axis had to drop.
-    x_range brackets the fitted x values so predictions outside it can be
-    flagged as extrapolation.
+    residuals are per fitted point, in log10 y, in the sorted-point order
+    used for fitting; n counts them and rms_residual sums them up.
+    n_excluded counts the points dropped for a y <= 0. x_range brackets
+    the fitted x values so predictions outside it can be flagged as
+    extrapolation.
     """
 
     category: str
-    axes: AxisSpec
     slope: float
     intercept: float
     n_excluded: int
@@ -82,27 +56,26 @@ class RegressionFit:
         return math.sqrt(math.fsum(r * r for r in self.residuals) / len(self.residuals))
 
     def predict(self, x: float) -> float:
-        """Predicted y in transformed space at transformed x."""
+        """Predicted log10 y at x."""
         return self.slope * x + self.intercept
 
     def extrapolates(self, x: float) -> bool:
-        """True when transformed x lies outside the fitted range."""
+        """True when x lies outside the fitted range."""
         lo, hi = self.x_range
         return x < lo or x > hi
 
 
-def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
-        category: str = "") -> RegressionFit:
-    """Least-squares line through (x, y) points in the axes' space."""
+def fit(points: Iterable[tuple[float, float]], category: str = "") -> RegressionFit:
+    """Least-squares line of log10 y on x through (x, y) points."""
     kept: list[tuple[float, float]] = []
     excluded = 0
     for x, y in points:
-        tx = _transform(axes.x, x, "x")
-        ty = _transform(axes.y, y, "y")
-        if tx is None or ty is None:
+        x = check_number(x, "x", -math.inf)
+        y = check_number(y, "y", -math.inf)
+        if y > 0:
+            kept.append((x, math.log10(y)))
+        else:
             excluded += 1
-            continue
-        kept.append((tx, ty))
     if len(kept) < 2:
         raise _NoLineError(
             f"need at least 2 usable points, got {len(kept)} "
@@ -130,7 +103,6 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
 
     return RegressionFit(
         category=category,
-        axes=axes,
         slope=slope,
         intercept=intercept,
         n_excluded=excluded,
@@ -140,12 +112,11 @@ def fit(points: Iterable[tuple[float, float]], axes: AxisSpec = AxisSpec(),
 
 
 def fit_by_category(points: Iterable[tuple[str, float, float]],
-                    axes: AxisSpec = AxisSpec(),
                     ) -> tuple[dict[str, RegressionFit], dict[str, tuple[int, int]]]:
     """One fit per category; a category no line fits (too few usable points,
     all x equal, or no finite line) comes back in the second mapping instead,
-    as category -> (usable, excluded): the points the axes could express and
-    those they left out. A malformed point raises."""
+    as category -> (usable, excluded): the points with a positive y and
+    those left out. A malformed point raises."""
     grouped: dict[str, list[tuple[float, float]]] = {}
     for category, x, y in points:
         grouped.setdefault(category, []).append((x, y))
@@ -153,7 +124,7 @@ def fit_by_category(points: Iterable[tuple[str, float, float]],
     unfit: dict[str, tuple[int, int]] = {}
     for category in sorted(grouped):
         try:
-            fits[category] = fit(grouped[category], axes, category=category)
+            fits[category] = fit(grouped[category], category=category)
         except _NoLineError as exc:
             unfit[category] = (exc.usable, exc.excluded)
     return fits, unfit
@@ -229,36 +200,27 @@ def is_weak_agreement(rho: float, threshold: float = 0.5) -> bool:
 class RatioSummary:
     """Per-item ratios between two paired series plus their median.
 
-    plausible records whether the median falls inside the expected
-    band: far outside it, the pairing itself is suspect.
+    plausible records whether the median falls inside band, which says
+    the second series sits one to four decades above the first: far
+    outside it, the pairing itself is suspect.
     """
 
     ratios: tuple[float, ...]
     median: float
-    band: tuple[float, float]
-    plausible: bool
+    band = (10.0, 1e4)  # the same for every summary, so not a field
+
+    @property
+    def plausible(self) -> bool:
+        lo, hi = self.band
+        return lo <= self.median <= hi
 
 
-def cross_benchmark_ratio(pairs: Sequence[tuple[float, float]],
-                          band: tuple[float, float] = (10.0, 1e4)) -> RatioSummary:
-    """Ratios second/first for paired positive values, with their median.
-
-    The default band says: the second series is expected to sit one to
-    four decades above the first.
-    """
+def cross_benchmark_ratio(pairs: Sequence[tuple[float, float]]) -> RatioSummary:
+    """Ratios second/first for paired positive values, with their median."""
     if not pairs:
         raise ValueError("need at least one pair")
-    lo, hi = band
-    if not (0 < lo < hi):
-        raise ValueError(f"band must be increasing and positive, got {band!r}")
     ratios = []
     for first, second in pairs:
         first = check_number(first, "first value", 0, strict=True)
         ratios.append(check_number(second, "second value", 0, strict=True) / first)
-    med = statistics.median(ratios)
-    return RatioSummary(
-        ratios=tuple(ratios),
-        median=med,
-        band=(lo, hi),
-        plausible=lo <= med <= hi,
-    )
+    return RatioSummary(ratios=tuple(ratios), median=statistics.median(ratios))

@@ -11,7 +11,6 @@ from parlimits import (
     AmdahlPoint,
     AlreadyAchievableError,
     InconsistentMeasurementError,
-    PerformanceFigure,
     UnboundedLimitError,
     alpha_eff_from_efficiency,
     alpha_eff_from_speedup,
@@ -19,8 +18,8 @@ from parlimits import (
     efficiency,
     p_max,
     required_one_minus_alpha,
-    rmax_from_record,
     speedup,
+    virtual_scale,
 )
 
 
@@ -197,18 +196,17 @@ def test_alpha_from_efficiency_rejects_nonpositive():
 # ---- ceilings --------------------------------------------------------------
 
 def test_p_max_example_machine_lands_mid_third_of_an_exaflops():
-    ceiling = p_max(11.8e9, AlphaValue(3.3e-8))
-    value = ceiling.in_unit("Eflop/s")
+    value = p_max(11.8e9, AlphaValue(3.3e-8)) / 1e18
     assert value == pytest.approx(0.35757575757575766, rel=1e-12)
     assert 0.35 <= value <= 0.40
 
 
 def test_p_max_serial_workload_is_single_unit_performance():
-    assert p_max(1e9, AlphaValue(1.0)).value_flops == 1e9
+    assert p_max(1e9, AlphaValue(1.0)) == 1e9
 
 
 def test_p_max_round_number_case():
-    assert p_max(50e9, AlphaValue(5e-8)).value_flops == pytest.approx(1e18, rel=1e-12)
+    assert p_max(50e9, AlphaValue(5e-8)) == pytest.approx(1e18, rel=1e-12)
 
 
 def test_p_max_unbounded_at_alpha_one():
@@ -234,23 +232,28 @@ def test_required_one_minus_alpha_trivial_target_is_distinct_signal():
         required_one_minus_alpha(50e9, 49e9)
 
 
+def _rmax(k, per_processor_perf, alpha):
+    """r_max = k * P * E(alpha, k) of a k-unit machine: the end of a sweep to k."""
+    return virtual_scale(per_processor_perf, alpha, k_max=k).samples[-1][1]
+
+
 def test_rmax_single_unit_is_unit_performance():
-    assert rmax_from_record(1, 11.78e9, AlphaValue(3.273e-8)).value_flops == 11.78e9
+    assert virtual_scale(11.78e9, AlphaValue(3.273e-8), k_max=1).samples == ((11.78e9, 11.78e9),)
 
 
 def test_rmax_at_real_machine_scale():
-    r = rmax_from_record(10_649_600, 11.78e9, AlphaValue(3.273e-8))
-    assert r.in_unit("Eflop/s") == pytest.approx(0.09302675451080807, rel=1e-12)
-    assert r.in_unit("Pflop/s") == pytest.approx(93.0, rel=0.01)
+    r = _rmax(10_649_600, 11.78e9, AlphaValue(3.273e-8))
+    assert r / 1e18 == pytest.approx(0.09302675451080807, rel=1e-12)
+    assert r / 1e15 == pytest.approx(93.0, rel=0.01)
 
 
 def test_rmax_plateaus_near_ceiling_for_huge_unit_counts():
     alpha = AlphaValue(3.273e-8)
-    r = rmax_from_record(1e12, 11.78e9, alpha)
+    r = _rmax(1e12, 11.78e9, alpha)
     ceiling = p_max(11.78e9, alpha)
-    assert r.value_flops == pytest.approx(0.35990345544015695e18, rel=1e-12)
-    assert r.value_flops < ceiling.value_flops
-    assert r.value_flops > 0.99 * ceiling.value_flops
+    assert r == pytest.approx(0.35990345544015695e18, rel=1e-12)
+    assert r < ceiling
+    assert r > 0.99 * ceiling
 
 
 def test_amplification_is_reciprocal_distance():
@@ -330,8 +333,8 @@ def test_rmax_within_one_percent_of_ceiling_once_k_oma_reaches_100():
         oma = 10 ** rng.uniform(-10, -2)
         for x in (100.0, 316.0, 1e4):
             k = x / oma
-            r = rmax_from_record(k, 1e9, AlphaValue(oma)).value_flops
-            ceiling = p_max(1e9, AlphaValue(oma)).value_flops
+            r = _rmax(k, 1e9, AlphaValue(oma))
+            ceiling = p_max(1e9, AlphaValue(oma))
             assert r >= 0.99 * ceiling
 
 
@@ -342,31 +345,3 @@ def test_sub_serial_flag_iff_efficiency_below_reciprocal_k():
         e = float(rng.uniform(1e-6, 1.0))
         a = alpha_eff_from_efficiency(e, k)
         assert a.sub_serial == (e < 1.0 / k) == (a.alpha < 0)
-
-
-# ---- performance figures ---------------------------------------------------
-
-def test_performance_figure_unit_scales_are_exact_powers_of_1000():
-    fig = PerformanceFigure.from_value(11.8, "Gflop/s")
-    assert fig.value_flops == 11.8e9
-    assert fig.in_unit("Tflop/s") == 11.8e9 / 1e12
-    assert fig.rescaled("Eflop/s").in_unit("Gflop/s") == 11.8
-
-
-def test_performance_figure_rejects_nonsense():
-    with pytest.raises(ValueError):
-        PerformanceFigure(0.0)
-    with pytest.raises(ValueError):
-        PerformanceFigure(-5.0, "Gflop/s")
-    with pytest.raises(ValueError):
-        PerformanceFigure(1.0, "Mflop/s")
-    with pytest.raises(ValueError, match="unknown unit"):
-        PerformanceFigure.from_value(1.0, "bogus")
-    with pytest.raises(ValueError, match="unknown unit"):
-        PerformanceFigure(1.0).in_unit("bogus")
-    with pytest.raises(ValueError, match="unknown unit"):
-        PerformanceFigure(1.0).rescaled("bogus")
-
-
-def test_performance_figure_str_shows_tagged_unit():
-    assert str(PerformanceFigure.from_value(93.0, "Pflop/s")) == "93 Pflop/s"

@@ -3,6 +3,7 @@ exports that resolve on first access."""
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +64,11 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="'parlimits' has no attribute 'no_such_name'"):
         parlimits.no_such_name
     assert not hasattr(parlimits, "no_such_name")
+
+
+def test_readme_module_map_matches_the_package():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = set(re.findall(r"^\| `parlimits\.(\w+)`", readme, re.MULTILINE))
+    modules = {path.stem for path in Path(parlimits.__file__).parent.glob("*.py")}
+    assert rows <= modules - {"__init__"}
+    assert set(parlimits._EXPORTS.values()) <= rows

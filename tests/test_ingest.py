@@ -137,20 +137,6 @@ def test_parse_csv_empty_text_is_a_schema_error():
         parse_csv("", source="unit")
 
 
-def test_parse_csv_applies_column_aliases():
-    text = ("system,year,rank,benchmark,rmax_gflops,rpeak_gflops,"
-            "cores,architecture,accelerator\n" + GOOD_ROW + "\n")
-    rs = parse_csv(text, source="unit", aliases={"name": "system"})
-    assert rs.records[0].name == "Testbox"
-
-
-def test_two_columns_aliased_to_one_source_is_a_schema_error():
-    text = HEADER + "\n" + GOOD_ROW + "\n"
-    with pytest.raises(SchemaError) as err:
-        parse_csv(text, source="unit", aliases={"rank": "year"})
-    assert "year" in str(err.value)
-
-
 def test_duplicate_identity_rejected_at_recordset_level():
     a, b = record(), record(name="Clone")
     with pytest.raises(ValueError):
@@ -170,36 +156,34 @@ def test_parse_csv_digest_is_of_the_parsed_text():
     assert rs.provenance.sha256 == hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _reference_parse(text, aliases=None):
+def _reference_parse(text):
     """The csv.DictReader reader that parse_csv replaced, as (records,
     rejections as (row number, reason, raw) triples), or None where the
     header lacks a column."""
-    aliases = aliases or {}
-    colmap = {canon: aliases.get(canon, canon) for canon in CANONICAL_COLUMNS}
     reader = csv.DictReader(io.StringIO(text))
-    if not set(colmap.values()) <= set(reader.fieldnames or ()):
+    if not set(CANONICAL_COLUMNS) <= set(reader.fieldnames or ()):
         return None
 
     def parse_row(raw):
-        def cell(canon):
-            value = raw.get(colmap[canon])
+        def cell(column):
+            value = raw.get(column)
             if value is None:
-                raise ValueError(f"row is short a value for {colmap[canon]!r}")
+                raise ValueError(f"row is short a value for {column!r}")
             return value.strip()
 
-        def as_int(canon):
-            text = cell(canon)
+        def as_int(column):
+            text = cell(column)
             try:
                 return int(text)
             except ValueError:
-                raise ValueError(f"{colmap[canon]}: {text!r} is not an integer") from None
+                raise ValueError(f"{column}: {text!r} is not an integer") from None
 
-        def as_float(canon):
-            text = cell(canon)
+        def as_float(column):
+            text = cell(column)
             try:
                 return float(text)
             except ValueError:
-                raise ValueError(f"{colmap[canon]}: {text!r} is not a number") from None
+                raise ValueError(f"{column}: {text!r} is not a number") from None
 
         return MachineRecord(
             name=cell("name"), year=as_int("year"), rank=as_int("rank"),

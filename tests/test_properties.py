@@ -17,13 +17,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 import parlimits  # noqa: E402
 from parlimits import (  # noqa: E402
-    AlphaValue, AmdahlPoint, AxisSpec, BoundReport, MachineRecord, PerformanceFigure,
-    RankPairing, TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup,
-    amplification, bound_context_switch, bound_os_looping, bound_propagation,
-    bound_start_stop, cross_benchmark_ratio, derive_points, efficiency, feasibility, fit,
-    fit_by_category, is_weak_agreement, linear_ramp, mpe_grouping_effect, p_max,
-    project_trend, required_one_minus_alpha, rmax_from_record, simulate, speedup,
-    virtual_scale,
+    AlphaValue, AmdahlPoint, BoundReport, MachineRecord, RankPairing, TimelineScenario,
+    alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification, bound_context_switch,
+    bound_os_looping, bound_propagation, bound_start_stop, cross_benchmark_ratio,
+    derive_points, efficiency, feasibility, fit, fit_by_category, is_weak_agreement,
+    linear_ramp, mpe_grouping_effect, p_max, project_trend, required_one_minus_alpha,
+    simulate, speedup, virtual_scale,
 )
 from parlimits.cli import ReportDocument  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
@@ -252,7 +251,7 @@ SWEEP_VALUES = [0, -0.0, 1, 2, 0.5, 5e-324, 1e-300, 1e300, sys.float_info.max, -
 # many array entries; numpy refuses larger sizes with a ValueError.
 assert not [v for v in SWEEP_VALUES if isinstance(v, int) and 1e3 <= v < 2**63]
 
-_TREND = fit([(2010.0, 1e-3), (2017.0, 1e-5)], AxisSpec(y="log10"))
+_TREND = fit([(2010.0, 1e-3), (2017.0, 1e-5)])
 
 # Each public callable that takes numbers, with valid values for them.
 NUMERIC_CALLS = {
@@ -262,9 +261,6 @@ NUMERIC_CALLS = {
     "BoundReport": (lambda bound: BoundReport("start-stop", bound, {}), (1e-6,)),
     "MachineRecord": (lambda year, rank, rmax, rpeak, cores: MachineRecord(
         "m", year, rank, "HPL", rmax, rpeak, cores, "MPP", "None"), (2017, 1, 1.0, 2.0, 100)),
-    "PerformanceFigure": (PerformanceFigure, (1e9,)),
-    "PerformanceFigure.from_value": (
-        lambda value: PerformanceFigure.from_value(value, "Gflop/s"), (1.0,)),
     "RankPairing": (lambda a, b: RankPairing(
         (("x", a, b), ("y", 2, 2), ("z", 3, 3))), (1, 1)),
     "RankPairing.from_raw": (lambda a, b: RankPairing.from_raw(
@@ -282,23 +278,21 @@ NUMERIC_CALLS = {
     "efficiency": (efficiency, (0.5, 100)),
     "feasibility": (lambda target, p, achieved, factor: feasibility(
         target, p, achieved, marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
-    "fit": (lambda x, y: fit([(x, y), (2.0, 3.0)], AxisSpec(y="log10")), (1.0, 1.0)),
-    "fit_by_category": (lambda x, y: fit_by_category(
-        [("a", x, y), ("a", 2.0, 3.0)], AxisSpec(y="log10")), (1.0, 1.0)),
+    "fit": (lambda x, y: fit([(x, y), (2.0, 3.0)]), (1.0, 1.0)),
+    "fit_by_category": (lambda x, y: fit_by_category([("a", x, y), ("a", 2.0, 3.0)]), (1.0, 1.0)),
     "is_weak_agreement": (is_weak_agreement, (0.3, 0.5)),
     "linear_ramp": (linear_ramp, (3, 1.0)),
     "mpe_grouping_effect": (mpe_grouping_effect, (1000, 10, 1, 1.0, 2e13)),
     "p_max": (p_max, (1e9, 0.5)),
     "project_trend": (lambda year: project_trend(_TREND, year), (2020.0,)),
     "required_one_minus_alpha": (required_one_minus_alpha, (1e9, 1e18)),
-    "rmax_from_record": (rmax_from_record, (100, 1e9, 0.5)),
     "speedup": (speedup, (0.5, 100)),
-    "virtual_scale": (virtual_scale, (1e9, 1e-6, 1e6, 1.0)),
+    "virtual_scale": (virtual_scale, (1e9, 1e-6, 1e6)),
 }
 # Public names that take no number of their own: constants, errors, text
 # and file readers, and result types built from checked inputs.
 NO_NUMERIC_ARGUMENTS = {
-    "AlreadyAchievableError", "AxisSpec", "CONSTANT_ALPHA_CAVEAT", "DegenerateScenarioError",
+    "AlreadyAchievableError", "CONSTANT_ALPHA_CAVEAT", "DegenerateScenarioError",
     "FeasibilityVerdict", "ForecastCurve", "GroupingEffect", "InconsistentMeasurementError",
     "Provenance", "RatioSummary", "RecordSet", "ReferenceTable", "RegressionFit",
     "RejectedRow", "SIGNAL_SPEED", "SchemaError", "TimingBreakdown", "TrendPoint",

@@ -1,4 +1,4 @@
-"""Regression on transformed axes, rank agreement, ratio summaries."""
+"""Regression of log10 y on x, rank agreement, ratio summaries."""
 from __future__ import annotations
 
 import math
@@ -8,7 +8,6 @@ import pytest
 import scipy.stats
 
 from parlimits import (
-    AxisSpec,
     RankPairing,
     cross_benchmark_ratio,
     fit,
@@ -18,21 +17,11 @@ from parlimits import (
     reference_table,
 )
 
-LOGY = AxisSpec(x="linear", y="log10")
-
 
 # ---- axis handling ------------------------------------------------------------
 
-def test_axis_spec_accepts_only_known_scales():
-    AxisSpec(x="log10", y="log10")
-    with pytest.raises(ValueError):
-        AxisSpec(x="ln", y="linear")
-    with pytest.raises(ValueError):
-        AxisSpec(x="linear", y="log")
-
-
 def test_log_axis_excludes_nonpositive_points():
-    f = fit([(0.0, 1.0), (1.0, 10.0), (2.0, -5.0), (3.0, 0.0)], axes=LOGY)
+    f = fit([(0.0, 1.0), (1.0, 10.0), (2.0, -5.0), (3.0, 0.0)])
     assert f.n == 2
     assert f.n_excluded == 2
     assert f.slope == pytest.approx(1.0, abs=1e-12)
@@ -42,7 +31,7 @@ def test_too_few_usable_points_is_an_error():
     with pytest.raises(ValueError):
         fit([(1.0, 2.0)])
     with pytest.raises(ValueError):
-        fit([(1.0, -1.0), (2.0, -2.0), (3.0, 5.0)], axes=LOGY)
+        fit([(1.0, -1.0), (2.0, -2.0), (3.0, 5.0)])
 
 
 def test_vertical_line_is_an_error():
@@ -50,18 +39,21 @@ def test_vertical_line_is_an_error():
         fit([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
 
 
-@pytest.mark.parametrize("axes", [AxisSpec(), AxisSpec(x="log10", y="log10")])
+# The linear x axis and the log10 y axis: the slot of the bad value, and its label.
+@pytest.mark.parametrize("axes", [(0, "x"), (1, "y")])
 @pytest.mark.parametrize("bad", ["1", math.nan, math.inf, -math.inf, 10**400])
 def test_non_numbers_are_one_line_errors_on_either_axis_kind(bad, axes):
-    for point, label in (((bad, 1.0), "x"), ((1.0, bad), "y")):
-        with pytest.raises(ValueError, match=f"^{label} must be a finite number") as info:
-            fit([point, (2.0, 2.0), (3.0, 5.0)], axes=axes)
-        assert "\n" not in str(info.value)
+    slot, label = axes
+    point = [1.0, 1.0]
+    point[slot] = bad
+    with pytest.raises(ValueError, match=f"^{label} must be a finite number") as info:
+        fit([tuple(point), (2.0, 2.0), (3.0, 5.0)])
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("pts", [[(1e300, 1.0), (-1e300, 2.0)],
                                  [(5e-324, 1.0), (1e-323, 2.0)],
-                                 [(1.0, 1e308), (2.0, -1e308)]])
+                                 [(1e306, 1e300), (-1e306, 1e-300)]])
 def test_points_beyond_the_float_range_of_a_fit_are_an_error(pts):
     with pytest.raises(ValueError, match="no finite line"):
         fit(pts)
@@ -70,7 +62,7 @@ def test_points_beyond_the_float_range_of_a_fit_are_an_error(pts):
 # ---- plain least squares --------------------------------------------------------
 
 def test_exact_line_recovered_exactly():
-    pts = [(x, 2.0 * x + 1.0) for x in (-3.0, -1.0, 0.0, 2.0, 5.0)]
+    pts = [(x, 10.0 ** (2.0 * x + 1.0)) for x in (-3.0, -1.0, 0.0, 2.0, 5.0)]
     f = fit(pts)
     assert f.slope == pytest.approx(2.0, abs=1e-14)
     assert f.intercept == pytest.approx(1.0, abs=1e-14)
@@ -82,12 +74,12 @@ def test_exact_line_recovered_exactly():
 def test_flat_data_has_zero_slope():
     f = fit([(x, 7.0) for x in range(4)])
     assert f.slope == 0.0
-    assert f.intercept == 7.0
+    assert f.intercept == math.log10(7.0)
 
 
 def test_predict_and_extrapolation_flag():
-    f = fit([(0.0, 1.0), (10.0, 21.0)])
-    assert f.predict(5.0) == pytest.approx(11.0, rel=1e-12)
+    f = fit([(0.0, 1.0), (10.0, 1e20)])
+    assert f.predict(5.0) == pytest.approx(10.0, rel=1e-12)
     assert f.x_range == (0.0, 10.0)
     assert not f.extrapolates(10.0)
     assert f.extrapolates(10.5)
@@ -98,10 +90,10 @@ def test_fit_is_invariant_to_point_order():
     rng = np.random.default_rng(31415)
     pts = [(float(x), float(y)) for x, y in
            zip(rng.uniform(-10, 10, 100), rng.uniform(1, 100, 100))]
-    f1 = fit(pts, axes=LOGY)
+    f1 = fit(pts)
     shuffled = list(pts)
     rng.shuffle(shuffled)
-    f2 = fit(shuffled, axes=LOGY)
+    f2 = fit(shuffled)
     assert f1.slope == f2.slope
     assert f1.intercept == f2.intercept
     assert f1.rms_residual == f2.rms_residual
@@ -110,8 +102,8 @@ def test_fit_is_invariant_to_point_order():
 def test_scaling_y_by_100_shifts_log_intercept_by_2():
     xs = [1.0, 2.0, 3.0, 4.0]
     ys = [2.0, 4.0, 8.0, 16.0]
-    base = fit(list(zip(xs, ys)), axes=LOGY)
-    scaled = fit([(x, 100.0 * y) for x, y in zip(xs, ys)], axes=LOGY)
+    base = fit(list(zip(xs, ys)))
+    scaled = fit([(x, 100.0 * y) for x, y in zip(xs, ys)])
     assert scaled.slope == pytest.approx(base.slope, abs=1e-12)
     assert scaled.intercept - base.intercept == pytest.approx(2.0, abs=1e-12)
 
@@ -120,7 +112,7 @@ def test_fit_matches_polyfit_oracle():
     rng = np.random.default_rng(777)
     xs = rng.uniform(0, 50, 60)
     ys = 10 ** (rng.uniform(-3, 3, 60))
-    f = fit([(float(x), float(y)) for x, y in zip(xs, ys)], axes=LOGY)
+    f = fit([(float(x), float(y)) for x, y in zip(xs, ys)])
     slope_np, icept_np = np.polyfit(xs, np.log10(ys), 1)
     assert f.slope == pytest.approx(slope_np, rel=1e-9)
     assert f.intercept == pytest.approx(icept_np, rel=1e-9)
@@ -129,7 +121,7 @@ def test_fit_matches_polyfit_oracle():
 # ---- grouped fits ------------------------------------------------------------------
 
 def test_fit_by_category_splits_and_reports_unfittable():
-    pts = [("a", 0.0, 1.0), ("a", 1.0, 3.0), ("a", 2.0, 5.0),
+    pts = [("a", 0.0, 10.0), ("a", 1.0, 1e3), ("a", 2.0, 1e5),
            ("b", 0.0, 2.0), ("b", 1.0, 2.0),
            ("lonely", 4.0, 4.0),
            ("same-x", 1.0, 1.0), ("same-x", 1.0, 2.0),
@@ -143,8 +135,7 @@ def test_fit_by_category_splits_and_reports_unfittable():
 
 
 def test_fit_by_category_counts_points_the_log_axis_left_out():
-    fits, unfit = fit_by_category([("a", 1.0, 0.0), ("a", 2.0, 1.0), ("b", 1.0, 0.0)],
-                                  axes=LOGY)
+    fits, unfit = fit_by_category([("a", 1.0, 0.0), ("a", 2.0, 1.0), ("b", 1.0, 0.0)])
     assert (fits, unfit) == ({}, {"a": (1, 1), "b": (0, 1)})
 
 
@@ -157,7 +148,7 @@ def test_fit_by_category_raises_for_a_malformed_point(bad):
 def test_architecture_classes_decay_at_similar_rates():
     table = reference_table("one-minus-alpha-by-architecture-2016-11")
     pts = [(arch, float(rank), oma) for arch, rank, oma in table]
-    fits, unfit = fit_by_category(pts, axes=LOGY)
+    fits, unfit = fit_by_category(pts)
     assert unfit == {}
     mpp, cluster = fits["MPP"].slope, fits["Cluster"].slope
     assert mpp == pytest.approx(0.018492402750309944, rel=1e-9)
@@ -170,10 +161,8 @@ def test_architecture_classes_decay_at_similar_rates():
 def test_harder_benchmark_decays_faster_down_the_ranking():
     top50 = reference_table("top50-hpl-2017-06")
     top10 = reference_table("top10-hpcg-2017-06")
-    f50 = fit([(float(rank), float(cores)) for rank, cores, _ in top50],
-              axes=LOGY, category="hpl-cores")
-    f10 = fit([(float(rank), float(cores)) for rank, cores, _ in top10],
-              axes=LOGY, category="hpcg-cores")
+    f50 = fit([(float(rank), float(cores)) for rank, cores, _ in top50], category="hpl-cores")
+    f10 = fit([(float(rank), float(cores)) for rank, cores, _ in top10], category="hpcg-cores")
     assert f50.slope == pytest.approx(-0.02422416708785183, rel=1e-9)
     assert f10.slope == pytest.approx(-0.1035876463764512, rel=1e-9)
     assert abs(f10.slope) > abs(f50.slope)
@@ -265,13 +254,6 @@ def test_equal_pairs_are_not_plausible_under_default_band():
     summary = cross_benchmark_ratio([(1e-7, 1e-7), (2e-6, 2e-6), (3e-5, 3e-5)])
     assert summary.median == 1.0
     assert not summary.plausible
-
-
-def test_custom_band_changes_the_verdict():
-    summary = cross_benchmark_ratio([(1e-7, 1e-7)], band=(0.5, 2.0))
-    assert summary.plausible
-    with pytest.raises(ValueError):
-        cross_benchmark_ratio([(1e-7, 1e-7)], band=(10.0, 2.0))
 
 
 def test_ratio_requires_positive_entries():
