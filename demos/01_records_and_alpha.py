@@ -18,7 +18,7 @@ points = {}
 for rec, pt in derive_points(rs.records):
     points[(rec.name, rec.benchmark)] = pt
     print(f"{rec.name:<22}  {rec.benchmark:<9}  {rec.cores:<9}  "
-          f"{pt.efficiency:<10.4f}  {pt.alpha_eff.one_minus_alpha:.3e}")
+          f"{pt.efficiency:<10.4f}  {pt.one_minus_alpha:.3e}")
 
 print()
 print("Even the best machine keeps a serial residue around 3e-8 on the")
@@ -28,8 +28,8 @@ best = points[("Sunway TaihuLight", "HPL")]
 print(f"  TaihuLight HPL amplification: {best.amplification:.3e}")
 
 names = sorted({r.name for r in rs.benchmark("HPL")})
-pairs = [(points[(n, "HPL")].alpha_eff.one_minus_alpha,
-          points[(n, "HPCG")].alpha_eff.one_minus_alpha) for n in names]
+pairs = [(points[(n, "HPL")].one_minus_alpha,
+          points[(n, "HPCG")].one_minus_alpha) for n in names]
 summary = cross_benchmark_ratio(pairs)
 print()
 print("The memory-bound benchmark sees a much larger serial distance:")

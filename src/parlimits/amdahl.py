@@ -131,6 +131,12 @@ def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:
     E below 1/k comes out sub-serial: the result has alpha < 0 and is
     returned as-is with its sub_serial flag set.
     """
+    return AlphaValue(_invert_efficiency(e, k)[1])
+
+
+def _invert_efficiency(e: float, k: float) -> tuple[float, float]:
+    """The checked efficiency, snapped to 1 inside EFFICIENCY_SLACK, and the
+    finite 1 - alpha = (1 - E) / (E * (k - 1)) that reproduces it."""
     k = check_number(k, "k", 2)
     e = check_number(e, "efficiency", 0, strict=True)
     if e > 1.0:
@@ -140,7 +146,8 @@ def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:
             raise InconsistentMeasurementError(
                 f"efficiency {e!r} exceeds 1; no alpha reproduces it"
             )
-    return AlphaValue((1.0 - e) / (e * (k - 1.0)))
+    # A tiny E over a small k overflows, e.g. E = 5e-324 at k = 2.
+    return e, check_number((1.0 - e) / (e * (k - 1.0)), "one_minus_alpha", 0)
 
 
 def p_max(per_processor_perf: float, alpha: float | AlphaValue) -> float:
@@ -186,24 +193,32 @@ def _amplify(oma: float) -> float:
 class AmdahlPoint:
     """One machine's measured position in the scaling model.
 
-    Built from its two measurements, the unit count k >= 2 and the
-    efficiency. speedup = efficiency * k, alpha_eff through the inverse
-    map and amplification = 1 / (1 - alpha) are derived from them once, on
-    construction, so they cannot disagree. An efficiency a hair above 1,
-    inside EFFICIENCY_SLACK, is stored as exactly 1.
+    Stores its two measurements, the unit count k >= 2 and the efficiency,
+    and the one_minus_alpha that the inverse map derives from them on
+    construction. speedup = efficiency * k, alpha_eff and amplification =
+    1 / (1 - alpha) are derived from those when read, so they cannot
+    disagree. An efficiency a hair above 1, inside EFFICIENCY_SLACK, is
+    stored as exactly 1.
     """
 
     k: int
     efficiency: float
-    speedup: float = field(init=False)
-    alpha_eff: AlphaValue = field(init=False)
-    amplification: float = field(init=False)
+    one_minus_alpha: float = field(init=False)
 
     def __post_init__(self) -> None:
         check_count(self.k, "k", 2)
-        a = alpha_eff_from_efficiency(self.efficiency, self.k)
-        e = min(float(self.efficiency), 1.0)  # the inverse map has checked it
+        e, oma = _invert_efficiency(self.efficiency, self.k)
         object.__setattr__(self, "efficiency", e)
-        object.__setattr__(self, "speedup", e * self.k)
-        object.__setattr__(self, "alpha_eff", a)
-        object.__setattr__(self, "amplification", _amplify(a.one_minus_alpha))
+        object.__setattr__(self, "one_minus_alpha", oma)
+
+    @property
+    def speedup(self) -> float:
+        return self.efficiency * self.k
+
+    @property
+    def alpha_eff(self) -> AlphaValue:
+        return AlphaValue(self.one_minus_alpha)
+
+    @property
+    def amplification(self) -> float:
+        return _amplify(self.one_minus_alpha)

@@ -277,7 +277,7 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
 
     rows = [
         (rec.name, rec.benchmark, rec.rank, rec.cores, point.efficiency,
-         point.speedup, point.alpha_eff.one_minus_alpha, point.amplification)
+         point.speedup, point.one_minus_alpha, point.amplification)
         for rec, point in points
     ]
     report.add_table(
@@ -294,7 +294,7 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
     if args.fits:
         cat_points = [
             (f"{rec.benchmark}/{rec.architecture}", float(rec.rank),
-             point.alpha_eff.one_minus_alpha)
+             point.one_minus_alpha)
             for rec, point in points
         ]
         fits, unfit = fit_by_category(cat_points)
@@ -330,8 +330,8 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
         # A ratio needs one_minus_alpha > 0 on both sides; efficiency 1 gives 0.
         names, pairs = [], []
         for name in sorted(both):
-            pair = (both[name]["HPL"][1].alpha_eff.one_minus_alpha,
-                    both[name]["HPCG"][1].alpha_eff.one_minus_alpha)
+            pair = (both[name]["HPL"][1].one_minus_alpha,
+                    both[name]["HPCG"][1].one_minus_alpha)
             if 0.0 in pair:
                 zero = " and ".join(b for b, v in zip(("HPL", "HPCG"), pair) if v == 0.0)
                 report.warnings.append(

@@ -147,6 +147,8 @@ class RecordSet:
     rejections: tuple[RejectedRow, ...] = field(default=())
 
     def __post_init__(self) -> None:
+        if len({(r.year, r.benchmark, r.rank) for r in self.records}) == len(self.records):
+            return
         seen: set[tuple[int, str, int]] = set()
         for rec in self.records:
             key = (rec.year, rec.benchmark, rec.rank)
@@ -226,10 +228,18 @@ def parse_csv(text: str, source: str = "<string>") -> RecordSet:
             if len(row) < width:
                 _reject_short_row(row, index)
             name, year, rank, benchmark, rmax, rpeak, cores, architecture, accelerator = pick(row)
+            try:
+                numbers = int(year), int(rank), float(rmax), float(rpeak), int(cores)
+            except ValueError:
+                # int() and float() skip less padding than str.strip(), e.g. not
+                # \x1c-\x1f; the converters strip it, or word the reason.
+                numbers = (_as_int(year, "year"), _as_int(rank, "rank"),
+                           _as_float(rmax, "rmax_gflops"), _as_float(rpeak, "rpeak_gflops"),
+                           _as_int(cores, "cores"))
+            year, rank, rmax, rpeak, cores = numbers
             rec = MachineRecord(
-                name.strip(), _as_int(year, "year"), _as_int(rank, "rank"), benchmark.strip(),
-                _as_float(rmax, "rmax_gflops"), _as_float(rpeak, "rpeak_gflops"),
-                _as_int(cores, "cores"), architecture.strip(), accelerator.strip(),
+                name.strip(), year, rank, benchmark.strip(), rmax, rpeak, cores,
+                architecture.strip(), accelerator.strip(),
             )
             key = (rec.year, rec.benchmark, rec.rank)
             if key in seen:

@@ -137,15 +137,16 @@ class RankPairing:
     entries: tuple[tuple[Hashable, int, int], ...]
 
     def __post_init__(self) -> None:
-        ids = [e[0] for e in self.entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate ids in rank pairing")
         n = len(self.entries)
+        if len({e[0] for e in self.entries}) != n:
+            raise ValueError("duplicate ids in rank pairing")
+        permutation = set(range(1, n + 1))
         for side, ranks in (("A", self.ranks_a), ("B", self.ranks_b)):
-            if sorted(check_count(r, f"ranking {side} rank", 1) for r in ranks) != [*range(1, n + 1)]:
-                raise ValueError(
-                    f"ranking {side} must be a permutation of 1..{n}, got {ranks}"
-                )
+            if set(map(type, ranks)) <= {int} and set(ranks) == permutation:
+                continue
+            for r in ranks:
+                check_count(r, f"ranking {side} rank", 1)
+            raise ValueError(f"ranking {side} must be a permutation of 1..{n}, got {ranks}")
 
     @property
     def ranks_a(self) -> tuple[int, ...]:
@@ -161,13 +162,17 @@ class RankPairing:
         positions with absentees) into permutations of 1..n, preserving
         order. Tied raw ranks are refused: this pairing has no tie rule."""
         entries = list(entries)
-        raw_a = [e[1] for e in entries]
-        raw_b = [e[2] for e in entries]
-        for side, ranks in (("A", raw_a), ("B", raw_b)):
-            if len({check_count(r, f"ranking {side} rank", 1) for r in ranks}) != len(ranks):
+        positions = []
+        for side, column in (("A", 1), ("B", 2)):
+            ranks = [e[column] for e in entries]
+            if not (set(map(type, ranks)) <= {int} and min(ranks, default=1) >= 1):
+                for r in ranks:
+                    check_count(r, f"ranking {side} rank", 1)
+            distinct = sorted(set(ranks))
+            if len(distinct) != len(ranks):
                 raise ValueError(f"ranking {side} contains duplicate ranks")
-        pos_a = {r: i + 1 for i, r in enumerate(sorted(raw_a))}
-        pos_b = {r: i + 1 for i, r in enumerate(sorted(raw_b))}
+            positions.append({r: i for i, r in enumerate(distinct, 1)})
+        pos_a, pos_b = positions
         return cls(tuple(
             (ident, pos_a[ra], pos_b[rb]) for ident, ra, rb in entries
         ))

@@ -266,13 +266,19 @@ FORECAST_GOLDEN = ["forecast", "--target", "1e18", "--per-processor-perf", "11.7
 
 # edge_records.csv has a reordered header with a repeated extra column, a
 # blank line, a short row, extra cells, a duplicate rank, a single-core row
-# and a name with quotes and non-ASCII characters.
+# and a name with quotes and non-ASCII characters. edge_points.csv holds
+# about 100 rows with scaling-model edges: efficiency exactly 1 and a hair
+# above it, a sub-serial row (E < 1/k), single-core rows, one row for each
+# of the benchmark's eight quarantine reasons, and numeric cells padded with
+# spaces, tabs, no-break spaces and the ASCII separators \x1c-\x1f.
 GOLDEN_REPORTS = [
     ("analyze_packaged", ANALYZE_ALL),
     ("analyze_edge", ANALYZE_ALL[:1] + ["--dataset", "edge_records.csv"] + ANALYZE_ALL[1:]),
     ("bounds_grouped", BOUNDS_GROUPED),
     ("forecast", FORECAST_GOLDEN),
     ("bounds_grouped_full", BOUNDS_GROUPED + ["--full-precision"]),
+    ("analyze_edge_points",
+     ANALYZE_ALL[:1] + ["--dataset", "edge_points.csv"] + ANALYZE_ALL[1:]),
 ]
 FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
 

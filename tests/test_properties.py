@@ -170,6 +170,26 @@ def test_point_fields_reproduce_efficiency_and_amplification(k, e):
         assert math.isclose(p.amplification * oma, 1.0, rel_tol=1e-12)
 
 
+@settings(max_examples=500, deadline=None)
+@given(k=st.integers(2, 10**7) | st.integers(2, 2**1023),
+       e=(st.floats(sys.float_info.min, 1.0)
+          | st.floats(0.0, 1e-15).map(lambda d: 1.0 - d)
+          | st.floats(0.0, 1e-9).map(lambda d: 1.0 + d)))
+@example(k=2, e=1.0 - 2**-53)
+@example(k=10**300, e=1.0 - 2**-52)
+@example(k=2**1023, e=sys.float_info.min)
+@example(k=2, e=1.0 + 1e-9)
+def test_point_fields_are_bit_identical_to_the_inverse_map(k, e):
+    # repr tells -0.0 from 0.0 and shows every bit of a float.
+    p = AmdahlPoint(k, e)
+    a = alpha_eff_from_efficiency(e, k)
+    assert repr(p.one_minus_alpha) == repr(a.one_minus_alpha)
+    assert repr(p.alpha_eff) == repr(a)
+    assert repr(p.efficiency) == repr(min(e, 1.0))
+    assert repr(p.speedup) == repr(min(e, 1.0) * k)
+    assert repr(p.amplification) == repr(amplification(a))
+
+
 # ---- explicit per-unit lists parse exactly as float() does ---------------------------
 
 # Pieces of float()'s grammar and of what it rejects: underscores and
