@@ -31,7 +31,7 @@ _EXPORTS = {name: module for module, names in {
                "combined_limit", "mpe_grouping_effect"),
     "datasets": ("ReferenceTable", "available_tags", "reference_table"),
     "errors": ("AlreadyAchievableError", "DegenerateScenarioError",
-               "InconsistentMeasurementError", "SchemaError", "UnboundedLimitError"),
+               "InconsistentMeasurementError", "SchemaError"),
     "forecast": ("CONSTANT_ALPHA_CAVEAT", "FeasibilityVerdict", "ForecastCurve",
                  "TrendPoint", "feasibility", "project_trend", "virtual_scale"),
     "ingest": ("MachineRecord", "Provenance", "RecordSet", "RejectedRow", "bundled_dataset",

@@ -30,14 +30,16 @@ performance P can never exceed
 no matter how many units are added, and hitting a target instead requires
 
     (1 - alpha) <= P / target.
+
+The laws take the serial distance only as an AlphaValue and refuse a bare
+number; AlphaValue(1 - alpha) is the caller's own, cancelling, conversion.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .errors import (AlreadyAchievableError, InconsistentMeasurementError, UnboundedLimitError,
-                     check_count, check_number)
+from .errors import AlreadyAchievableError, InconsistentMeasurementError, check_count, check_number
 
 # Measured efficiencies may land a hair above 1 from rounding in the source
 # data; anything inside this relative band is snapped to exactly 1.
@@ -62,13 +64,6 @@ class AlphaValue:
         object.__setattr__(self, "one_minus_alpha",
                            check_number(self.one_minus_alpha, "one_minus_alpha", 0))
 
-    @classmethod
-    def from_alpha(cls, alpha: float) -> AlphaValue:
-        alpha = check_number(alpha, "alpha", -math.inf)
-        if alpha > 1:
-            raise ValueError(f"alpha must be <= 1, got {alpha!r}")
-        return cls(1.0 - alpha)
-
     @property
     def alpha(self) -> float:
         return 1.0 - self.one_minus_alpha
@@ -82,11 +77,11 @@ class AlphaValue:
         return f"alpha=1-{self.one_minus_alpha:.6g}"
 
 
-def _oma(alpha: float | AlphaValue) -> float:
-    """One minus alpha from either representation."""
+def _oma(alpha: AlphaValue, name: str = "alpha") -> float:
+    """The stored 1 - alpha of an AlphaValue; a bare number is refused."""
     if isinstance(alpha, AlphaValue):
         return alpha.one_minus_alpha
-    return AlphaValue.from_alpha(alpha).one_minus_alpha
+    raise ValueError(f"{name} must be an AlphaValue, got {alpha!r}")
 
 
 def _denominator(k, oma):
@@ -94,13 +89,13 @@ def _denominator(k, oma):
     return 1.0 + (k - 1.0) * oma
 
 
-def speedup(alpha: float | AlphaValue, k: float) -> float:
+def speedup(alpha: AlphaValue, k: float) -> float:
     """S = 1 / ((1 - alpha) + alpha / k), evaluated as k / (1 + (k-1)(1-alpha))."""
     k = check_number(k, "k", 1)
     return k / _denominator(k, _oma(alpha))
 
 
-def efficiency(alpha: float | AlphaValue, k: float) -> float:
+def efficiency(alpha: AlphaValue, k: float) -> float:
     """E = S / k = 1 / (1 + (k - 1) * (1 - alpha))."""
     k = check_number(k, "k", 1)
     return 1.0 / _denominator(k, _oma(alpha))
@@ -150,17 +145,12 @@ def _invert_efficiency(e: float, k: float) -> tuple[float, float]:
     return e, check_number((1.0 - e) / (e * (k - 1.0)), "one_minus_alpha", 0)
 
 
-def p_max(per_processor_perf: float, alpha: float | AlphaValue) -> float:
+def p_max(per_processor_perf: float, alpha: AlphaValue) -> float:
     """The performance ceiling P / (1 - alpha) in flop/s for unlimited unit
-    counts; inf where the quotient overflows."""
+    counts; inf at 1 - alpha = 0 and where the quotient overflows."""
     p = check_number(per_processor_perf, "performance", 0, strict=True)
     oma = _oma(alpha)
-    if oma == 0.0:
-        raise UnboundedLimitError(
-            "alpha is exactly 1, so performance grows without bound; "
-            "no finite ceiling exists"
-        )
-    return p / oma
+    return math.inf if oma == 0.0 else p / oma
 
 
 def required_one_minus_alpha(per_processor_perf: float, target: float) -> AlphaValue:
@@ -179,7 +169,7 @@ def required_one_minus_alpha(per_processor_perf: float, target: float) -> AlphaV
     return AlphaValue(p / t)
 
 
-def amplification(alpha: float | AlphaValue) -> float:
+def amplification(alpha: AlphaValue) -> float:
     """1 / (1 - alpha): how far p_max sits above one unit. inf at alpha=1."""
     return _amplify(_oma(alpha))
 

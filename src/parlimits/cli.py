@@ -402,8 +402,7 @@ def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> int:
     report.add_table(
         "capacity shares",
         ("category", "share"),
-        [(k, result.shares[k]) for k in
-         ("software", "os", "access", "dispatch", "propagation", "payload", "idle")],
+        list(result.shares.items()),
     )
     if result.n_units <= MAX_UNIT_ROWS:
         report.add_table(
@@ -467,8 +466,9 @@ def _usage_exit(prog: str, message: str) -> int:
 # ---- forecast --------------------------------------------------------------
 
 def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
+    achieved = AlphaValue(args.achieved_one_minus_alpha)
     verdict = feasibility(
-        args.target, args.per_processor_perf, args.achieved_one_minus_alpha,
+        args.target, args.per_processor_perf, achieved,
         achieved_source=args.achieved_source,
         marginal_factor=args.marginal_factor,
     )
@@ -484,7 +484,7 @@ def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
     rpeak_max = 10.0 * args.target if args.rpeak_max is None else args.rpeak_max
     curves = {
         "achieved": virtual_scale(
-            args.per_processor_perf, AlphaValue(args.achieved_one_minus_alpha),
+            args.per_processor_perf, achieved,
             k_max=rpeak_max / args.per_processor_perf,
             source=f"achieved ({args.achieved_source})"),
         "required": virtual_scale(
@@ -492,13 +492,8 @@ def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
             k_max=rpeak_max / args.per_processor_perf,
             source="required for target"),
     }
-    curve_rows = []
-    for name in sorted(curves):
-        curve = curves[name]
-        curve_rows.append(
-            (name, curve.source, len(curve.samples), curve.asymptote_flops,
-             curve.samples[-1][1])
-        )
+    curve_rows = [(name, c.source, len(c.samples), c.asymptote_flops, c.samples[-1][1])
+                  for name, c in sorted(curves.items())]
     report.add_table(
         "scaling curves (fixed one_minus_alpha)",
         ("curve", "source", "samples", "asymptote_flops", "rmax_at_sweep_end"),

@@ -14,10 +14,6 @@ class InconsistentMeasurementError(ValueError):
     """Measured quantities violate a model identity (e.g. S > k or E > 1)."""
 
 
-class UnboundedLimitError(ValueError):
-    """A limit is requested where the model places no finite ceiling."""
-
-
 class AlreadyAchievableError(ValueError):
     """A target is at or below what a single unit already delivers."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amdahl import AlphaValue, _denominator, _oma, required_one_minus_alpha
+from .amdahl import AlphaValue, _denominator, _oma, p_max, required_one_minus_alpha
 from .errors import check_number
 from .stats import RegressionFit
 
@@ -87,13 +87,13 @@ def _log_grid(lo: float, hi: float) -> np.ndarray:
 
 
 def virtual_scale(per_processor_perf: float,
-                  alpha: float | AlphaValue,
+                  alpha: AlphaValue,
                   k_max: float,
                   source: str = "") -> ForecastCurve:
     """Grow a machine of fixed per-unit performance and fixed alpha.
 
     Samples k on a log grid from 1 to k_max; r_peak = k * P and
-    r_max = k * P * E(alpha, k). The asymptote is p_max = P / (1-alpha).
+    r_max = k * P * E(alpha, k). The asymptote is p_max(P, alpha).
     A sub-serial 1 - alpha, above 1, is refused: its r_max falls with k.
     """
     p = check_number(per_processor_perf, "performance", 0, strict=True)
@@ -110,11 +110,10 @@ def virtual_scale(per_processor_perf: float,
     # the curve nondecreasing and every bit where it already was.
     with np.errstate(over="ignore"):
         r_max = np.maximum.accumulate(r_peak / _denominator(ks, oma))
-    asymptote = math.inf if oma == 0.0 else p / oma
     return ForecastCurve(
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
         samples=tuple(zip(r_peak.tolist(), r_max.tolist())),
-        asymptote_flops=asymptote,
+        asymptote_flops=p_max(p, alpha),
     )
 
 
@@ -172,10 +171,10 @@ class FeasibilityVerdict:
 
 def feasibility(target: float,
                 per_processor_perf: float,
-                achieved: float | AlphaValue,
+                achieved: AlphaValue,
                 achieved_source: str = "measured",
                 marginal_factor: float = 2.0) -> FeasibilityVerdict:
-    """Judge a target against a design's achieved (1 - alpha).
+    """Judge a target against a design's achieved (1 - alpha), an AlphaValue.
 
     The verdict is achievable exactly when achieved <= required; within
     marginal_factor above the requirement counts as marginal. Targets
@@ -185,11 +184,12 @@ def feasibility(target: float,
     marginal_factor = check_number(marginal_factor, "marginal_factor", 1)
     t = check_number(target, "performance", 0, strict=True)
     p = check_number(per_processor_perf, "performance", 0, strict=True)
+    _oma(achieved, "achieved")  # refuses a bare number
     return FeasibilityVerdict(
         target_flops=t,
         hypothesis=f"P={p:.6g} flop/s",
         required=required_one_minus_alpha(p, t),
-        achieved=achieved if isinstance(achieved, AlphaValue) else AlphaValue(achieved),
+        achieved=achieved,
         achieved_source=achieved_source,
         marginal_factor=marginal_factor,
     )

@@ -10,13 +10,14 @@ validation is quarantined with its row number and reason, never silently
 dropped, and never aborts the rest of the file.
 
 parse_csv reads the text in one pass of csv.reader, with the rules of
-csv.DictReader: blank lines are skipped and not counted as rows, a
-repeated header name refers to its last column, and a quarantined row
-keeps the cells DictReader would have given it (missing cells as None,
-extra cells as a list under the key None). The record set's provenance
-carries the sha256 of the text that was parsed; load_csv reads the file
-once, without newline translation, so that digest is the digest of the
-file's bytes.
+csv.DictReader: CR, LF and CRLF end a row, blank lines are skipped and
+not counted as rows, a repeated header name refers to its last column,
+and a quarantined row keeps the cells DictReader would have given it
+(missing cells as None, extra cells as a list under the key None), or
+none where csv cannot read it. The record set's provenance carries the
+sha256 of the text that was parsed; load_csv reads the file once,
+without newline translation, so that digest is the digest of the file's
+bytes.
 
 Writing uses repr() for the float columns, so a load -> write -> load
 cycle reproduces records bit for bit.
@@ -37,7 +38,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .amdahl import AmdahlPoint, EFFICIENCY_SLACK
 from .errors import SchemaError, check_count, check_number
@@ -200,10 +201,23 @@ def _reject_short_row(row: Sequence[str], index: Sequence[int]) -> None:
             _CONVERTERS[column](row[i], column)
 
 
+def _readable_rows(reader) -> Iterator[list[str] | csv.Error]:
+    """csv.reader's rows, with its csv.Error in place of a row it cannot read."""
+    while True:
+        try:
+            yield from reader
+            return
+        except csv.Error as exc:
+            yield exc
+
+
 def parse_csv(text: str, source: str = "<string>") -> RecordSet:
     """Parse CSV text into a RecordSet; bad rows land in rejections."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    # newline="", as the csv docs require: then a \r ends a row, as \n does.
+    rows = _readable_rows(csv.reader(io.StringIO(text, newline="")))
+    header = next(rows, None)
+    if isinstance(header, csv.Error):
+        raise SchemaError(f"{source}: unreadable header: {header}")
     if header is None:
         raise SchemaError(f"{source}: file is empty, no header present")
     # A repeated header name refers to its last column.
@@ -220,10 +234,13 @@ def parse_csv(text: str, source: str = "<string>") -> RecordSet:
     seen: set[tuple[int, str, int]] = set()
     # Row numbers are 1-based over the nonblank rows; the header is row 1.
     row_number = 1
-    for row in reader:
-        if not row:
+    for row in rows:
+        if not row:  # a csv.Error is never empty
             continue
         row_number += 1
+        if isinstance(row, csv.Error):
+            rejections.append(RejectedRow(row_number, str(row), {}))
+            continue
         try:
             if len(row) < width:
                 _reject_short_row(row, index)

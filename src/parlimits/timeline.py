@@ -151,9 +151,9 @@ class TimelineScenario:
 class TimingBreakdown:
     """Result of simulating one scenario.
 
-    shares maps category -> fraction of the n * total capacity rectangle:
-    software, os, access, dispatch, propagation, payload, idle. They sum
-    to 1 because idle is defined as the remainder.
+    shares maps category -> fraction of the n * total capacity rectangle, in
+    this order: software, os, access, dispatch, propagation, payload, idle.
+    They sum to 1 because idle is defined as the remainder.
 
     payload_cycles_effective is alpha_eff * total: the per-unit payload
     time a perfectly clean run with this alpha would show. It differs
@@ -286,7 +286,8 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         # No payload at all: the run is pure overhead, alpha is 0.
         alpha = AlphaValue(1.0)
     elif n == 1:
-        alpha = AlphaValue(1.0 - payload_sum / total)
+        # Exact (Sterbenz) for payload_sum >= total / 2, where 1 - payload_sum / total cancels.
+        alpha = AlphaValue((total - payload_sum) / total)
     else:
         try:
             alpha = alpha_eff_from_speedup(payload_sum / total, n)

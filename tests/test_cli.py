@@ -1,6 +1,7 @@
 """Command-line front end: reports, exit codes, determinism."""
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -89,6 +90,30 @@ def test_analyze_quarantined_rows_become_warnings(tmp_path, capsys):
     assert code == 0
     assert "Good" in out
     assert "row 3" in out
+
+
+def test_analyze_quarantines_a_cell_beyond_the_csv_field_limit(tmp_path, capsys):
+    # Too big for a golden file: the cell is one character over the limit.
+    limit = csv.field_size_limit()
+    p = tmp_path / "oversized.csv"
+    p.write_text(HEADER + "\nGood,2017,1,HPL,9.0,10.0,64,MPP,None\n"
+                 f'"{"x" * (limit + 1)}",2017,2,HPL,9.0,10.0,64,MPP,None\n'
+                 "Next,2017,3,HPL,9.0,10.0,64,MPP,None\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p), "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["counts"] == {"records": 2, "quarantined": 1}
+    assert doc["warnings"] == [f"row 3 quarantined: field larger than field limit ({limit})"]
+    assert [row[0] for row in doc["tables"][0]["rows"]] == ["Good", "Next"]
+
+
+def test_analyze_header_beyond_the_csv_field_limit_is_an_input_error(tmp_path, capsys):
+    p = tmp_path / "oversized_header.csv"
+    p.write_text(f'"{"x" * (csv.field_size_limit() + 1)}",{HEADER}\n', encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p))
+    assert (code, out) == (2, "")
+    assert err == (f"parlimits: input error: {p}: unreadable header: field larger than "
+                   f"field limit ({csv.field_size_limit()})\n")
 
 
 def test_analyze_quarantines_infinite_rates(tmp_path, capsys):
@@ -279,6 +304,8 @@ GOLDEN_REPORTS = [
     ("bounds_grouped_full", BOUNDS_GROUPED + ["--full-precision"]),
     ("analyze_edge_points",
      ANALYZE_ALL[:1] + ["--dataset", "edge_points.csv"] + ANALYZE_ALL[1:]),
+    ("analyze_cr_only", ANALYZE_ALL[:1] + ["--dataset", "cr_only.csv"] + ANALYZE_ALL[1:]),
+    ("analyze_lone_cr", ANALYZE_ALL[:1] + ["--dataset", "lone_cr.csv"] + ANALYZE_ALL[1:]),
 ]
 FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
 

@@ -10,7 +10,10 @@ import math
 
 import pytest
 
-from parlimits import AmdahlPoint, InconsistentMeasurementError, RankPairing, parse_csv
+from parlimits import (
+    AmdahlPoint, InconsistentMeasurementError, RankPairing, amplification, efficiency,
+    feasibility, p_max, parse_csv, speedup, virtual_scale,
+)
 
 
 def _pairing(*entries):
@@ -65,6 +68,23 @@ BAD_CALLS = [
      ValueError, "ranking B rank must be an integer >= 1, got True"),
     ("bad raw rank after a tie", _raw_pairing(("x", 5, 1), ("y", 5, 2), ("z", 1.5, 3)),
      ValueError, "ranking A rank must be an integer >= 1, got 1.5"),
+]
+
+# Each law takes the serial distance only as an AlphaValue: a bare number
+# is neither alpha nor 1 - alpha to it.
+SERIAL_DISTANCE_PARAMETERS = [
+    ("speedup", "alpha", lambda v: speedup(v, 100)),
+    ("efficiency", "alpha", lambda v: efficiency(v, 100)),
+    ("p_max", "alpha", lambda v: p_max(1e9, v)),
+    ("amplification", "alpha", amplification),
+    ("virtual_scale", "alpha", lambda v: virtual_scale(1e9, v, 1e6)),
+    ("feasibility", "achieved", lambda v: feasibility(1e18, 1e10, v)),
+]
+BAD_CALLS += [
+    (f"{law} {name} is {value!r}", lambda call=call, value=value: call(value), ValueError,
+     f"{name} must be an AlphaValue, got {value!r}")
+    for law, name, call in SERIAL_DISTANCE_PARAMETERS
+    for value in (0.5, 1, True, "0.5")
 ]
 
 

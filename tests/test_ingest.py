@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from parlimits import (
+    AlphaValue,
     AmdahlPoint,
     MachineRecord,
     RecordSet,
@@ -27,7 +28,7 @@ from parlimits import (
     reference_table,
     write_csv,
 )
-from parlimits.ingest import CANONICAL_COLUMNS
+from parlimits.ingest import CANONICAL_COLUMNS, bundled_csv_text
 
 GOLDEN = Path(__file__).parent / "golden"
 REPO = Path(__file__).parent.parent
@@ -150,6 +151,13 @@ def test_parses_of_the_same_text_compare_equal():
     assert bundled_dataset() == bundled_dataset()
 
 
+def test_line_endings_give_the_same_rows():
+    text = bundled_csv_text()
+    parsed = [parse_csv(text.replace("\n", end), source="unit") for end in ("\n", "\r\n", "\r")]
+    assert parsed[0].records == parsed[1].records == parsed[2].records
+    assert len(parsed[0].records) == 20 and not any(p.rejections for p in parsed)
+
+
 def test_parse_csv_digest_is_of_the_parsed_text():
     text = HEADER + "\r\n" + GOOD_ROW + "\r\n"
     rs = parse_csv(text, source="unit")
@@ -159,8 +167,8 @@ def test_parse_csv_digest_is_of_the_parsed_text():
 def _reference_parse(text):
     """The csv.DictReader reader that parse_csv replaced, as (records,
     rejections as (row number, reason, raw) triples), or None where the
-    header lacks a column."""
-    reader = csv.DictReader(io.StringIO(text))
+    header lacks a column. It reads with newline="", as the csv docs ask."""
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     if not set(CANONICAL_COLUMNS) <= set(reader.fieldnames or ()):
         return None
 
@@ -232,6 +240,12 @@ EDGE_TEXTS = {
         HEADER + "\r\n"
         '"Multi\r\nline, ""quoted""",2017,1,HPL,9.0,10.0,64,MPP,None\r\n'
         "\u00dcber,2017,2,HPCG,1.0,10.0,64,Cluster,GPU\r\n"),
+    "cr-only": HEADER + "\r" + GOOD_ROW + "\rB,2017,2,HPL,oops,10.0,64,MPP,None\r",
+    # A lone CR in an unquoted cell ends the row there; the rest is the next row.
+    "lone-cr": (
+        HEADER + "\n"
+        "Sun\rway,2017,1,HPL,9.0,10.0,64,MPP,None\n"
+        '"Quoted\rcell",2017,2,HPL,9.0,10.0,64,MPP,None\n'),
     "header-only": HEADER + "\n",
     "blank-header": "\n" + HEADER + "\n" + GOOD_ROW + "\n",
 }
@@ -472,4 +486,4 @@ def test_reference_alpha_values_reproduce_reported_efficiencies():
     top50 = reference_table("top50-hpl-2017-06")
     rank, cores, oma = list(top50)[0]
     assert rank == 1 and cores == 10_649_600
-    assert efficiency(1.0 - oma, cores) == pytest.approx(0.742, rel=1e-3)
+    assert efficiency(AlphaValue(oma), cores) == pytest.approx(0.742, rel=1e-3)

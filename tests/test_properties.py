@@ -3,10 +3,15 @@ scaling point of every record that validates, scenario lists against
 float(), and every public numeric argument against extreme values."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +29,7 @@ from parlimits import (  # noqa: E402
     linear_ramp, mpe_grouping_effect, p_max, project_trend, required_one_minus_alpha,
     simulate, speedup, virtual_scale,
 )
-from parlimits.cli import ReportDocument  # noqa: E402
+from parlimits.cli import ReportDocument, main  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
 from test_cli import _refuse_non_json  # noqa: E402
 from test_timeline import _fields  # noqa: E402
@@ -149,6 +154,40 @@ def test_every_valid_record_with_cores_yields_a_point(rpeak, e, cores):
     assert point.k == cores
 
 
+# ---- any record file: a report or exit 2, never a traceback -------------------------
+
+CSV_HEADER = "name,year,rank,benchmark,rmax_gflops,rpeak_gflops,cores,architecture,accelerator"
+# Real cells, hostile values, quotes and every line break, joined into cells.
+CSV_PIECES = st.sampled_from([
+    "A", "B", "2017", "1", "2", "HPL", "HPCG", "9.0", "10.0", "64", "MPP", "None", "GPU",
+    "nan", "1e400", "1_0", "0x10", "-1", " ", "\xa0", '"', '""', "\r", "\n", "\r\n",
+    "\x00", ",", "x" * 40])
+CSV_ROWS = st.lists(st.lists(CSV_PIECES, max_size=3).map("".join), max_size=11).map(",".join)
+CSV_TEXTS = (st.lists(CSV_ROWS, max_size=6).map(lambda rows: "\n".join([CSV_HEADER, *rows]))
+             | st.text(st.characters(exclude_categories=("Cs",)), max_size=200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=CSV_TEXTS)
+@example(text=CSV_HEADER + "\rA,2017,1,HPL,9.0,10.0,64,MPP,None\r")
+@example(text=CSV_HEADER + "\nA\r,2017,1,HPL,9.0,10.0,64,MPP,None\n")
+@example(text=f'{CSV_HEADER}\n"{"x" * ((1 << 17) + 1)}",2017,1,HPL,9.0,10.0,64,MPP,None\n')
+def test_any_record_file_gives_a_report_or_exit_2(text):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["analyze", "--dataset", path, "--fits", "--ratios",
+                         "--rank-correlation"])
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith("parlimits: input error: ")
+    else:
+        assert (code, err.getvalue()) == (0, "")
+
+
 # ---- a point's derived fields agree with its inputs -----------------------------------
 
 @settings(max_examples=500, deadline=None)
@@ -263,6 +302,24 @@ def test_uniform_fields_simulate_as_their_full_arrays(n, serial, data):
     assert outcomes[0] == outcomes[1]
 
 
+# ---- a one-unit run's 1 - alpha is within two roundings of the exact value --------------
+
+CYCLES = st.floats(0, 1e12) | st.floats(0, 1e-3) | st.just(0.0)
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=st.floats(1e-300, 1e12), others=st.lists(CYCLES, min_size=9, max_size=9))
+@example(payload=1e6, others=[0.0, 0.0, 0.0, 0.001, 0.0, 0.0, 0.0, 0.0, 0.0])
+@example(payload=1e6, others=[0.0] * 9)
+def test_one_unit_serial_distance_matches_exact_arithmetic(payload, others):
+    # others: dispatch, pd_out and pd_in per unit, then the six serial scalars.
+    out = simulate(TimelineScenario(1, payload, *others))
+    total, payload_sum = Fraction(out.total_cycles), Fraction(out.payload_cycles)
+    exact = (total - payload_sum) / total
+    got = Fraction(out.alpha_eff.one_minus_alpha)
+    assert abs(got - exact) <= Fraction(2.3e-16) * exact
+
+
 # ---- every public number: a result or a one-line ValueError ----------------------------
 
 SWEEP_VALUES = [0, -0.0, 1, 2, 0.5, 5e-324, 1e-300, 1e300, sys.float_info.max, -1e300,
@@ -276,7 +333,6 @@ _TREND = fit([(2010.0, 1e-3), (2017.0, 1e-5)])
 # Each public callable that takes numbers, with valid values for them.
 NUMERIC_CALLS = {
     "AlphaValue": (AlphaValue, (1e-6,)),
-    "AlphaValue.from_alpha": (AlphaValue.from_alpha, (0.5,)),
     "AmdahlPoint": (AmdahlPoint, (100, 0.5)),
     "BoundReport": (lambda bound: BoundReport("start-stop", bound, {}), (1e-6,)),
     "MachineRecord": (lambda year, rank, rmax, rpeak, cores: MachineRecord(
@@ -289,25 +345,26 @@ NUMERIC_CALLS = {
         n, payload, dispatch, sw_pre=sw_pre)), (2, 100.0, 10.0, 5.0)),
     "alpha_eff_from_efficiency": (alpha_eff_from_efficiency, (0.5, 100)),
     "alpha_eff_from_speedup": (alpha_eff_from_speedup, (50.0, 100)),
-    "amplification": (amplification, (0.5,)),
+    "amplification": (lambda alpha: amplification(AlphaValue(alpha)), (0.5,)),
     "bound_context_switch": (bound_context_switch, (1e4, 2e13)),
     "bound_os_looping": (bound_os_looping, (1000, 1.0, 2e13)),
     "bound_propagation": (bound_propagation, (100.0, 1e9, 0.0, 2e13)),
     "bound_start_stop": (bound_start_stop, (2.0, 2e13)),
     "cross_benchmark_ratio": (lambda a, b: cross_benchmark_ratio([(a, b)]), (1e-5, 1e-3)),
-    "efficiency": (efficiency, (0.5, 100)),
+    "efficiency": (lambda alpha, k: efficiency(AlphaValue(alpha), k), (0.5, 100)),
     "feasibility": (lambda target, p, achieved, factor: feasibility(
-        target, p, achieved, marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
+        target, p, AlphaValue(achieved), marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
     "fit": (lambda x, y: fit([(x, y), (2.0, 3.0)]), (1.0, 1.0)),
     "fit_by_category": (lambda x, y: fit_by_category([("a", x, y), ("a", 2.0, 3.0)]), (1.0, 1.0)),
     "is_weak_agreement": (is_weak_agreement, (0.3, 0.5)),
     "linear_ramp": (linear_ramp, (3, 1.0)),
     "mpe_grouping_effect": (mpe_grouping_effect, (1000, 10, 1, 1.0, 2e13)),
-    "p_max": (p_max, (1e9, 0.5)),
+    "p_max": (lambda p, alpha: p_max(p, AlphaValue(alpha)), (1e9, 0.5)),
     "project_trend": (lambda year: project_trend(_TREND, year), (2020.0,)),
     "required_one_minus_alpha": (required_one_minus_alpha, (1e9, 1e18)),
-    "speedup": (speedup, (0.5, 100)),
-    "virtual_scale": (virtual_scale, (1e9, 1e-6, 1e6)),
+    "speedup": (lambda alpha, k: speedup(AlphaValue(alpha), k), (0.5, 100)),
+    "virtual_scale": (lambda p, alpha, k_max: virtual_scale(p, AlphaValue(alpha), k_max),
+                      (1e9, 1e-6, 1e6)),
 }
 # Public names that take no number of their own: constants, errors, text
 # and file readers, and result types built from checked inputs.
@@ -316,9 +373,9 @@ NO_NUMERIC_ARGUMENTS = {
     "FeasibilityVerdict", "ForecastCurve", "GroupingEffect", "InconsistentMeasurementError",
     "Provenance", "RatioSummary", "RecordSet", "ReferenceTable", "RegressionFit",
     "RejectedRow", "SIGNAL_SPEED", "SchemaError", "TimingBreakdown", "TrendPoint",
-    "UnboundedLimitError", "available_tags", "bundled_dataset", "combined_limit",
-    "csv_text", "derive_points", "load_csv", "load_scenario", "parse_csv", "parse_scenario",
-    "rank_correlation", "reference_table", "simulate", "write_csv",
+    "available_tags", "bundled_dataset", "combined_limit", "csv_text", "derive_points",
+    "load_csv", "load_scenario", "parse_csv", "parse_scenario", "rank_correlation",
+    "reference_table", "simulate", "write_csv",
 }
 
 
