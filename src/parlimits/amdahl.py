@@ -105,18 +105,20 @@ def alpha_eff_from_speedup(s: float, k: float) -> AlphaValue:
     """Invert S(alpha, k): 1 - alpha = (k - S) / ((k - 1) * S).
 
     Requires k >= 2 (a single unit carries no parallelism signal) and
-    0 < S <= k; S above k contradicts the model.
+    0 < S <= k; S above k contradicts the model. An int k is compared and
+    subtracted exactly, also above 2**53, where float(k) rounds.
     """
+    n = k  # an int k above 2**53 does not survive float(k)
     k = check_number(k, "k", 2)
     s = check_number(s, "speedup", 0, strict=True)
-    if s > k:
+    if s > (n if type(n) is int else k):  # an int compares with a float exactly
         if s <= k * (1.0 + EFFICIENCY_SLACK):
-            s = k
-        else:
-            raise InconsistentMeasurementError(
-                f"speedup {s!r} exceeds unit count {k!r}; no alpha reproduces it"
-            )
-    return AlphaValue((k - s) / ((k - 1.0) * s))
+            return AlphaValue(0.0)
+        raise InconsistentMeasurementError(
+            f"speedup {s!r} exceeds unit count {k!r}; no alpha reproduces it"
+        )
+    gap = float(n - int(s)) - (s - int(s)) if type(n) is int else k - s
+    return AlphaValue(gap / ((k - 1.0) * s))
 
 
 def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:

@@ -57,19 +57,22 @@ class BoundReport:
         """The bound alone: one significant digit, or repr in full precision."""
         return repr(self.bound) if full_precision else f"{self.bound:.0e}"
 
-    def describe(self, full_precision: bool = False) -> str:
-        """One line, one significant digit by default (these are estimates)."""
-        return f"{self.kind}: (1-alpha) >= {self.display(full_precision)}"
+    def describe(self) -> str:
+        """One line, with the bound at one significant digit (it is an estimate)."""
+        return f"{self.kind}: (1-alpha) >= {self.display(False)}"
+
+
+def _floor(kind: str, cycles: float, total_cycles: float, /, **assumptions: float) -> BoundReport:
+    """The floor cycles / total_cycles; assumptions name the checked inputs
+    that gave cycles, and total_cycles is recorded after them."""
+    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
+    return BoundReport(kind=kind, bound=cycles / total_cycles,
+                       assumptions={**assumptions, "total_cycles": total_cycles})
 
 
 def _fixed_cycles(kind: str, cycles: float, total_cycles: float) -> BoundReport:
     cycles = check_number(cycles, "cycles", 0)
-    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
-    return BoundReport(
-        kind=kind,
-        bound=cycles / total_cycles,
-        assumptions={"cycles": cycles, "total_cycles": total_cycles},
-    )
+    return _floor(kind, cycles, total_cycles, cycles=cycles)
 
 
 def bound_start_stop(cycles: float, total_cycles: float) -> BoundReport:
@@ -86,19 +89,10 @@ def bound_propagation(distance_m: float, clock_hz: float, message_time_s: float,
     distance_m = check_number(distance_m, "distance_m", 0)
     message_time_s = check_number(message_time_s, "message_time_s", 0)
     clock_hz = check_number(clock_hz, "clock_hz", 0, strict=True)
-    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
     cycles = (2.0 * distance_m / SIGNAL_SPEED + message_time_s) * clock_hz
-    return BoundReport(
-        kind="propagation",
-        bound=cycles / total_cycles,
-        assumptions={
-            "distance_m": distance_m,
-            "clock_hz": clock_hz,
-            "message_time_s": message_time_s,
-            "signal_speed_m_per_s": SIGNAL_SPEED,
-            "total_cycles": total_cycles,
-        },
-    )
+    return _floor("propagation", cycles, total_cycles, distance_m=distance_m,
+                  clock_hz=clock_hz, message_time_s=message_time_s,
+                  signal_speed_m_per_s=SIGNAL_SPEED)
 
 
 def bound_context_switch(cycles: float, total_cycles: float) -> BoundReport:
@@ -111,16 +105,8 @@ def bound_os_looping(n_units: float, cycles_per_dispatch: float,
     """A serial dispatch loop that touches every unit once."""
     n_units = check_number(n_units, "n_units", 1)
     cycles_per_dispatch = check_number(cycles_per_dispatch, "cycles_per_dispatch", 0)
-    total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
-    return BoundReport(
-        kind="os-looping",
-        bound=n_units * cycles_per_dispatch / total_cycles,
-        assumptions={
-            "n_units": n_units,
-            "cycles_per_dispatch": cycles_per_dispatch,
-            "total_cycles": total_cycles,
-        },
-    )
+    return _floor("os-looping", n_units * cycles_per_dispatch, total_cycles,
+                  n_units=n_units, cycles_per_dispatch=cycles_per_dispatch)
 
 
 @dataclass(frozen=True)

@@ -12,9 +12,9 @@ digest, never by timestamps. Text output shows 6 significant digits;
 
 Exit codes: 0 success, 1 usage error, 2 unusable input.
 
-The analyze subcommand reads the dataset path from --dataset, then the
-PARLIMITS_DATASET environment variable, then falls back to the packaged
-June 2017 records.
+The analyze subcommand reads the record CSV named by --dataset, or else the
+packaged June 2017 records. Its rank agreement counts as weak when
+|rho| < 0.5.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from .bounds import (
     combined_limit,
     mpe_grouping_effect,
 )
-from .ingest import bundled_csv_text, derive_points, load_csv, parse_csv
+from .ingest import BUNDLED_SOURCE, bundled_csv_text, derive_points, load_csv, parse_csv
 from .stats import RankPairing, cross_benchmark_ratio, fit_by_category, is_weak_agreement, rank_correlation
 
 
@@ -61,8 +61,6 @@ simulate = _deferred(".timeline", "simulate")
 feasibility = _deferred(".forecast", "feasibility")
 virtual_scale = _deferred(".forecast", "virtual_scale")
 
-DATASET_ENV_VAR = "PARLIMITS_DATASET"
-
 # Per-unit rows beyond this would bloat reports without informing anyone.
 MAX_UNIT_ROWS = 32
 
@@ -82,7 +80,7 @@ class ReportDocument:
     """Everything one invocation produced, renderable as text or JSON."""
 
     command: str
-    version: str = __version__
+    version = __version__  # the same for every report, so not a field
     inputs: list[dict[str, str]] = field(default_factory=list)
     counts: dict[str, int] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -203,13 +201,11 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("analyze", help="scaling points and trends from list records")
-    p.add_argument("--dataset", help="record CSV (default: env or packaged data)")
+    p.add_argument("--dataset", help="record CSV (default: packaged data)")
     p.add_argument("--fits", action="store_true", help="per-architecture trend fits")
     p.add_argument("--ratios", action="store_true", help="cross-benchmark alpha ratios")
     p.add_argument("--rank-correlation", action="store_true",
                    help="rank agreement between benchmarks")
-    p.add_argument("--weak-threshold", type=float, default=0.5,
-                   help="|rho| below this counts as weak agreement")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("simulate", help="run a timeline scenario file")
@@ -250,15 +246,11 @@ def _build_parser() -> _Parser:
 
 # ---- analyze ---------------------------------------------------------------
 
-def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
+def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
     if args.dataset:
-        source = args.dataset
+        records = load_csv(args.dataset)
     else:
-        source = os.environ.get(DATASET_ENV_VAR, "")
-    if source:
-        records = load_csv(source)
-    else:
-        records = parse_csv(bundled_csv_text(), source="packaged:top500_2017.csv")
+        records = parse_csv(bundled_csv_text(), source=BUNDLED_SOURCE)
     report.add_input(records.provenance.source, records.provenance.sha256)
 
     report.counts["records"] = len(records.records)
@@ -267,7 +259,7 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
         report.warnings.append(f"row {rej.row_number} quarantined: {rej.reason}")
     if not records.records:
         report.warnings.append("no usable records in input; nothing to analyze")
-        return 0
+        return
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -371,18 +363,17 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> int:
             report.add_table(
                 "rank agreement HPL vs HPCG",
                 ("n", "spearman_rho", "weak_agreement"),
-                [(len(pairing), rho, is_weak_agreement(rho, args.weak_threshold))],
+                [(len(pairing), rho, is_weak_agreement(rho))],
             )
         else:
             report.warnings.append(
                 "fewer than 3 machines under both benchmarks; no rank correlation"
             )
-    return 0
 
 
 # ---- simulate --------------------------------------------------------------
 
-def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> int:
+def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> None:
     # The digest takes a second read, of the file's bytes, so that parsing
     # stays the one load_scenario call that perfbench times as timeline.parse_s.
     scenario = load_scenario(args.scenario)
@@ -416,15 +407,15 @@ def _cmd_simulate(args: argparse.Namespace, report: ReportDocument) -> int:
         report.warnings.append(
             f"per-unit table omitted ({result.n_units} units > {MAX_UNIT_ROWS})"
         )
-    return 0
 
 
 # ---- bounds ----------------------------------------------------------------
 
-def _cmd_bounds(args: argparse.Namespace, report: ReportDocument) -> int:
+def _cmd_bounds(args: argparse.Namespace, report: ReportDocument) -> None:
     if (args.cores_per_group is None) != (args.mpe_per_group is None):
-        raise SystemExit(_usage_exit(
-            "bounds", "--cores-per-group and --mpe-per-group go together"))
+        print("parlimits bounds: error: --cores-per-group and --mpe-per-group go together",
+              file=sys.stderr)
+        raise SystemExit(1)
 
     reports = [
         bound_start_stop(args.start_stop_cycles, args.total_cycles),
@@ -455,17 +446,11 @@ def _cmd_bounds(args: argparse.Namespace, report: ReportDocument) -> int:
             [(effect.addressable_units, effect.reduction_factor,
               effect.capacity_loss, effect.bound.bound, effect.bound.display(full))],
         )
-    return 0
-
-
-def _usage_exit(prog: str, message: str) -> int:
-    print(f"parlimits {prog}: error: {message}", file=sys.stderr)
-    return 1
 
 
 # ---- forecast --------------------------------------------------------------
 
-def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
+def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> None:
     achieved = AlphaValue(args.achieved_one_minus_alpha)
     verdict = feasibility(
         args.target, args.per_processor_perf, achieved,
@@ -509,7 +494,6 @@ def _cmd_forecast(args: argparse.Namespace, report: ReportDocument) -> int:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("rpeak_flops,rmax_flops\n" + body)
             report.warnings.append(f"wrote {path}")
-    return 0
 
 
 _COMMANDS = {
@@ -530,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
 
     report = ReportDocument(command="parlimits " + " ".join(argv))
     try:
-        code = _COMMANDS[args.subcommand](args, report)
+        _COMMANDS[args.subcommand](args, report)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (OSError, ValueError) as exc:
@@ -540,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     sys.stdout.write(report.to_json() if args.json else report.to_text())
-    return code
+    return 0
 
 
 if __name__ == "__main__":

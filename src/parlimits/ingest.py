@@ -53,6 +53,8 @@ ARCHITECTURES = ("MPP", "Cluster", "Other")
 ACCELERATORS = ("None", "GPU", "Coprocessor", "Other")
 
 _BUNDLED_CSV = "top500_2017.csv"
+# The source label of the packaged records in a RecordSet and in reports.
+BUNDLED_SOURCE = f"packaged:{_BUNDLED_CSV}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,8 +338,7 @@ def derive_points(records: Iterable[MachineRecord],
 
 def bundled_dataset() -> RecordSet:
     """The packaged June 2017 top-ten records under HPL and HPCG."""
-    text = bundled_csv_text()
-    return parse_csv(text, source=f"packaged:{_BUNDLED_CSV}")
+    return parse_csv(bundled_csv_text(), source=BUNDLED_SOURCE)
 
 
 def bundled_csv_text() -> str:

@@ -191,14 +191,15 @@ def rank_correlation(pairing: RankPairing) -> float:
     if n < 3:
         raise ValueError(f"rank correlation needs at least 3 items, got {n}")
     d2 = sum((a - b) ** 2 for a, b in zip(pairing.ranks_a, pairing.ranks_b))
-    return 1.0 - 6.0 * d2 / (n * (n * n - 1))
+    # In integers, so that the one division is the one rounding: 1.0 minus a
+    # rounded quotient cancels when rho is near 0.
+    m = n * (n * n - 1)
+    return (m - 6 * d2) / m
 
 
-def is_weak_agreement(rho: float, threshold: float = 0.5) -> bool:
-    """True when |rho| falls below the agreement threshold."""
-    if not (0 < check_number(threshold, "threshold", -math.inf) <= 1):
-        raise ValueError(f"threshold must be in (0, 1], got {threshold!r}")
-    return abs(check_number(rho, "rho", -math.inf)) < threshold
+def is_weak_agreement(rho: float) -> bool:
+    """True when |rho| < 0.5: the two rankings agree only weakly."""
+    return abs(check_number(rho, "rho", -math.inf)) < 0.5
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,14 @@ def test_alpha_from_speedup_full_speedup_means_parallel():
     assert alpha_eff_from_speedup(1e6, 1e6).one_minus_alpha == 0.0
 
 
+def test_alpha_from_speedup_forms_k_minus_s_exactly_for_an_int_k():
+    # float(2**60 + 1) is 2.0**60, so k - s taken in floats would be 0.
+    assert alpha_eff_from_speedup(2.0**60, 2**60 + 1).one_minus_alpha == 7.52316384526264e-37
+    assert alpha_eff_from_speedup(2.0**54, 2**54 + 3).one_minus_alpha == 9.244463733058731e-33
+    # A speedup above an int k within the slack snaps to 1 - alpha = 0.
+    assert alpha_eff_from_speedup(2.0**60, 2**60 - 1).one_minus_alpha == 0.0
+
+
 def test_alpha_from_speedup_half_parallel():
     a = alpha_eff_from_speedup(4.0 / 3.0, 2)
     assert a.alpha == pytest.approx(0.5, abs=1e-15)

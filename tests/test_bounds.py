@@ -106,7 +106,24 @@ def test_describe_rounds_to_one_significant_digit():
     assert bound_start_stop(2.0, 2e13).describe() == "start-stop: (1-alpha) >= 1e-13"
     r = bound_propagation(distance_m=5.0, clock_hz=1.1e9, message_time_s=0.0,
                           total_cycles=1e11)
-    assert repr(r.bound) in r.describe(full_precision=True)
+    assert r.describe() == f"propagation: (1-alpha) >= {r.bound:.0e}"
+    assert r.display(True) == repr(r.bound)
+
+
+def test_assumptions_name_the_inputs_with_total_cycles_last():
+    assumptions = [
+        bound_start_stop(2.0, 2e13).assumptions,
+        bound_propagation(100.0, 1e9, 1e-6, 2e13).assumptions,
+        bound_context_switch(1e4, 2e13).assumptions,
+        bound_os_looping(1000, 1.0, 2e13).assumptions,
+    ]
+    assert [list(a.items()) for a in assumptions] == [
+        [("cycles", 2.0), ("total_cycles", 2e13)],
+        [("distance_m", 100.0), ("clock_hz", 1e9), ("message_time_s", 1e-6),
+         ("signal_speed_m_per_s", SIGNAL_SPEED), ("total_cycles", 2e13)],
+        [("cycles", 1e4), ("total_cycles", 2e13)],
+        [("n_units", 1000.0), ("cycles_per_dispatch", 1.0), ("total_cycles", 2e13)],
+    ]
 
 
 # ---- grouped dispatch ----------------------------------------------------------

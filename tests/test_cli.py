@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import parlimits
-from parlimits.cli import DATASET_ENV_VAR, main
+from parlimits.cli import main
 
 HEADER = ("name,year,rank,benchmark,rmax_gflops,rpeak_gflops,"
           "cores,architecture,accelerator")
@@ -64,22 +64,6 @@ def test_analyze_reads_dataset_argument(tmp_path, capsys):
     code, out, _ = run(capsys, "analyze", "--dataset", str(p))
     assert code == 0
     assert "Box" in out
-
-
-def test_analyze_env_var_selects_dataset(tmp_path, capsys, monkeypatch):
-    p = tmp_path / "env.csv"
-    p.write_text(HEADER + "\nEnvBox,2017,1,HPL,9.0,10.0,64,MPP,None\n",
-                 encoding="utf-8")
-    monkeypatch.setenv(DATASET_ENV_VAR, str(p))
-    code, out, _ = run(capsys, "analyze")
-    assert code == 0
-    assert "EnvBox" in out
-    # explicit flag wins over the environment
-    q = tmp_path / "flag.csv"
-    q.write_text(HEADER + "\nFlagBox,2017,1,HPL,9.0,10.0,64,MPP,None\n",
-                 encoding="utf-8")
-    code, out, _ = run(capsys, "analyze", "--dataset", str(q))
-    assert "FlagBox" in out and "EnvBox" not in out
 
 
 def test_analyze_quarantined_rows_become_warnings(tmp_path, capsys):
@@ -314,10 +298,24 @@ FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 def test_report_matches_golden_bytes(name, argv, fmt, capsys, monkeypatch):
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv(DATASET_ENV_VAR, raising=False)
     code, out, err = run(capsys, *argv, *(["--json"] if fmt == "json" else []))
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_analyze_reads_no_dataset_from_the_environment(tmp_path, capsys, monkeypatch):
+    # --dataset is the one way to name a record file: a path in the
+    # environment, even a missing one, leaves the packaged report as it is.
+    monkeypatch.setenv("PARLIMITS_DATASET", str(tmp_path / "missing.csv"))
+    code, out, err = run(capsys, *ANALYZE_ALL)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "analyze_packaged.txt").read_bytes()
+
+
+def test_analyze_has_no_weak_threshold_option(capsys):
+    code, out, err = run(capsys, *ANALYZE_ALL, "--weak-threshold", "0.4")
+    assert (code, out) == (1, "")
+    assert "error: unrecognized arguments: --weak-threshold 0.4" in err
 
 
 def test_forecast_curve_files_match_golden_bytes(tmp_path, capsys):
@@ -336,7 +334,6 @@ def test_repeated_calls_in_one_process_answer_alike(capsys, monkeypatch):
     # main() may keep its argument parser between calls; no call may see
     # what an earlier one parsed, printed or failed on.
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv(DATASET_ENV_VAR, raising=False)
     calls = [USAGE_ERROR, ["--version"]]
     for _, argv in GOLDEN_REPORTS:
         for flags in FORMAT_FLAGS.values():
@@ -616,7 +613,6 @@ def test_simulate_cycle_totals_beyond_the_float_range_are_input_error(tmp_path, 
 # ---- every numeric input: exit 0, 1 or 2, with at most one line on stderr ---------------
 
 SWEEP_BASES = {
-    "analyze": ["--rank-correlation", "--weak-threshold=0.5"],
     "bounds": ["--total-cycles=2e13", "--start-stop-cycles=2", "--distance-m=100",
                "--clock-hz=1e9", "--message-time-s=0", "--context-switch-cycles=1e4",
                "--n-units=1000", "--dispatch-cycles=1", "--cores-per-group=10",

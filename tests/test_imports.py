@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import parlimits
-from parlimits.cli import DATASET_ENV_VAR
 from test_cli import ANALYZE_ALL, BOUNDS_GROUPED, FORECAST_GOLDEN, GOLDEN
 
 # Run in a fresh interpreter: argv[1] is a statement to execute first, the
@@ -38,7 +37,6 @@ print(code, "numpy" in sys.modules)
 ], ids=["import-package", "import-cli", "analyze", "bounds", "simulate", "forecast"])
 def test_only_simulate_and_forecast_load_numpy(statement, argv, expected):
     env = dict(os.environ, PYTHONPATH=str(Path(parlimits.__file__).parents[1]))
-    env.pop(DATASET_ENV_VAR, None)
     proc = subprocess.run([sys.executable, "-c", PROBE, statement, *argv], cwd=GOLDEN,
                           env=env, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", expected + "\n")

@@ -356,7 +356,7 @@ NUMERIC_CALLS = {
         target, p, AlphaValue(achieved), marginal_factor=factor), (1e18, 1e10, 1e-8, 2.0)),
     "fit": (lambda x, y: fit([(x, y), (2.0, 3.0)]), (1.0, 1.0)),
     "fit_by_category": (lambda x, y: fit_by_category([("a", x, y), ("a", 2.0, 3.0)]), (1.0, 1.0)),
-    "is_weak_agreement": (is_weak_agreement, (0.3, 0.5)),
+    "is_weak_agreement": (is_weak_agreement, (0.3,)),
     "linear_ramp": (linear_ramp, (3, 1.0)),
     "mpe_grouping_effect": (mpe_grouping_effect, (1000, 10, 1, 1.0, 2e13)),
     "p_max": (lambda p, alpha: p_max(p, AlphaValue(alpha)), (1e9, 0.5)),

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,6 +220,28 @@ def test_rank_correlation_extremes():
     assert rank_correlation(reverse) == -1.0
 
 
+def test_rank_correlation_rounds_once():
+    # Ranks 1-79 reversed give sum(d^2) = 164320; six swaps of i and i + t
+    # among the ranks above add 2 * t^2 each, to 166652. Then rho is
+    # -6/499950 exactly, and 1 - 6 * d2 / m would lose its last 5 digits.
+    ranks_b = [*range(79, 0, -1), *range(80, 101)]
+    for i, j in [(80, 100), (81, 99), (82, 98), (84, 95), (85, 93), (86, 87)]:
+        ranks_b[i - 1], ranks_b[j - 1] = ranks_b[j - 1], ranks_b[i - 1]
+    pairing = RankPairing(tuple((i, i, b) for i, b in enumerate(ranks_b, 1)))
+    assert sum((a - b) ** 2 for a, b in zip(pairing.ranks_a, pairing.ranks_b)) == 166652
+    assert rank_correlation(pairing) == -1.2001200120012002e-05
+
+
+def test_rank_correlation_is_the_exact_value_rounded():
+    rng = np.random.default_rng(2017)
+    for _ in range(200):
+        n = int(rng.integers(3, 60))
+        perm = rng.permutation(n) + 1
+        pairing = RankPairing(tuple((i, i + 1, int(perm[i])) for i in range(n)))
+        d2 = sum((i + 1 - int(perm[i])) ** 2 for i in range(n))
+        assert rank_correlation(pairing) == float(1 - Fraction(6 * d2, n * (n * n - 1)))
+
+
 def test_rank_correlation_needs_three_pairs():
     with pytest.raises(ValueError):
         rank_correlation(RankPairing(entries=(("a", 1, 1), ("b", 2, 2))))
@@ -237,15 +260,14 @@ def test_rank_correlation_antisymmetry_identity():
             pytest.approx(0.0, abs=1e-12)
 
 
-def test_weak_agreement_threshold_is_configurable():
+def test_weak_agreement_is_below_one_half():
     assert is_weak_agreement(0.49)
+    assert is_weak_agreement(-0.49)
     assert not is_weak_agreement(0.5)
-    assert is_weak_agreement(0.7, threshold=0.8)
+    assert not is_weak_agreement(-0.5)
     assert is_weak_agreement(-0.9) is False
-    with pytest.raises(ValueError):
-        is_weak_agreement(0.3, threshold=0.0)
-    with pytest.raises(ValueError):
-        is_weak_agreement(0.3, threshold=1.5)
+    with pytest.raises(TypeError):
+        is_weak_agreement(0.7, threshold=0.8)
 
 
 # ---- cross-benchmark ratios ----------------------------------------------------------
