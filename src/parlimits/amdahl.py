@@ -136,6 +136,12 @@ def _invert_efficiency(e: float, k: float) -> tuple[float, float]:
     finite 1 - alpha = (1 - E) / (E * (k - 1)) that reproduces it."""
     k = check_number(k, "k", 2)
     e = check_number(e, "efficiency", 0, strict=True)
+    return _snap_and_invert(e, k)
+
+
+def _snap_and_invert(e: float, k: float) -> tuple[float, float]:
+    """_invert_efficiency for an efficiency e > 0 and a k >= 2 that are
+    already checked; k may be an int within the float range."""
     if e > 1.0:
         if e <= 1.0 + EFFICIENCY_SLACK:
             e = 1.0
@@ -214,3 +220,20 @@ class AmdahlPoint:
     @property
     def amplification(self) -> float:
         return _amplify(self.one_minus_alpha)
+
+
+# The slots' own setters: they bypass the frozen __setattr__.
+_SET_K, _SET_EFFICIENCY, _SET_ONE_MINUS_ALPHA = (
+    getattr(AmdahlPoint, f).__set__ for f in ("k", "efficiency", "one_minus_alpha"))
+
+
+def _point(k: int, e: float) -> AmdahlPoint:
+    """AmdahlPoint(k, e) for an int k >= 2 within the float range and a
+    normal positive efficiency, as a validated record holds them, built
+    without checking them again."""
+    e, oma = _snap_and_invert(e, k)
+    point = object.__new__(AmdahlPoint)
+    _SET_K(point, k)
+    _SET_EFFICIENCY(point, e)
+    _SET_ONE_MINUS_ALPHA(point, oma)
+    return point

@@ -25,6 +25,7 @@ the largest.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -64,9 +65,14 @@ class BoundReport:
 
 def _floor(kind: str, cycles: float, total_cycles: float, /, **assumptions: float) -> BoundReport:
     """The floor cycles / total_cycles; assumptions name the checked inputs
-    that gave cycles, and total_cycles is recorded after them."""
+    that gave cycles, and total_cycles is recorded after them. Checked
+    inputs whose cycles or quotient overflow raise one line naming both."""
     total_cycles = check_number(total_cycles, "total_cycles", 0, strict=True)
-    return BoundReport(kind=kind, bound=cycles / total_cycles,
+    bound = cycles / total_cycles
+    if not math.isfinite(bound):
+        raise ValueError(f"{kind} floor overflows the float range: "
+                         f"cycles {cycles!r} / total_cycles {total_cycles!r}")
+    return BoundReport(kind=kind, bound=bound,
                        assumptions={**assumptions, "total_cycles": total_cycles})
 
 

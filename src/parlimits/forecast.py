@@ -110,11 +110,16 @@ def virtual_scale(per_processor_perf: float,
     # the curve nondecreasing and every bit where it already was.
     with np.errstate(over="ignore"):
         r_max = np.maximum.accumulate(r_peak / _denominator(ks, oma))
-    return ForecastCurve(
+    # Both axes are nondecreasing, and r_max = r_peak / (a denominator >= 1)
+    # stays under r_peak and p_max, so the curve is built without the
+    # per-sample walk of ForecastCurve.__post_init__.
+    curve = object.__new__(ForecastCurve)
+    curve.__dict__.update(
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
         samples=tuple(zip(r_peak.tolist(), r_max.tolist())),
         asymptote_flops=p_max(p, alpha),
     )
+    return curve
 
 
 @dataclass(frozen=True)

@@ -70,8 +70,11 @@ def fit(points: Iterable[tuple[float, float]], category: str = "") -> Regression
     kept: list[tuple[float, float]] = []
     excluded = 0
     for x, y in points:
-        x = check_number(x, "x", -math.inf)
-        y = check_number(y, "y", -math.inf)
+        # Points hand over checked finite floats; only other values meet check_number.
+        if not (type(x) is float and math.isfinite(x)):
+            x = check_number(x, "x", -math.inf)
+        if not (type(y) is float and math.isfinite(y)):
+            y = check_number(y, "y", -math.inf)
         if y > 0:
             kept.append((x, math.log10(y)))
         else:
@@ -227,6 +230,10 @@ def cross_benchmark_ratio(pairs: Sequence[tuple[float, float]]) -> RatioSummary:
         raise ValueError("need at least one pair")
     ratios = []
     for first, second in pairs:
-        first = check_number(first, "first value", 0, strict=True)
-        ratios.append(check_number(second, "second value", 0, strict=True) / first)
+        # Points hand over checked positive floats; only other values meet check_number.
+        if not (type(first) is float and 0.0 < first < math.inf):
+            first = check_number(first, "first value", 0, strict=True)
+        if not (type(second) is float and 0.0 < second < math.inf):
+            second = check_number(second, "second value", 0, strict=True)
+        ratios.append(second / first)
     return RatioSummary(ratios=tuple(ratios), median=statistics.median(ratios))

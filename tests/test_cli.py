@@ -497,6 +497,14 @@ def test_bounds_unit_count_beyond_float_range_is_input_error(capsys):
     assert err.startswith("parlimits: input error: n_units") and err.count("\n") == 1
 
 
+def test_bounds_floor_beyond_float_range_names_its_operands(capsys):
+    args = [{"2e13": "1e-300", "2": "1e10", "10000000": "10"}.get(a, a) for a in BOUNDS_ARGS]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == ("parlimits: input error: start-stop floor overflows the float range: "
+                   "cycles 10000000000.0 / total_cycles 1e-300\n")
+
+
 def test_bounds_non_divisible_grouping_is_input_error(capsys):
     code, _, err = run(capsys, *BOUNDS_ARGS,
                        "--cores-per-group", "3", "--mpe-per-group", "1")

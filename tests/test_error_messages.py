@@ -11,8 +11,9 @@ import math
 import pytest
 
 from parlimits import (
-    AmdahlPoint, InconsistentMeasurementError, RankPairing, amplification, efficiency,
-    feasibility, p_max, parse_csv, speedup, virtual_scale,
+    AmdahlPoint, InconsistentMeasurementError, RankPairing, amplification, bound_os_looping,
+    bound_propagation, bound_start_stop, efficiency, feasibility, p_max, parse_csv, speedup,
+    virtual_scale,
 )
 
 
@@ -68,6 +69,14 @@ BAD_CALLS = [
      ValueError, "ranking B rank must be an integer >= 1, got True"),
     ("bad raw rank after a tie", _raw_pairing(("x", 5, 1), ("y", 5, 2), ("z", 1.5, 3)),
      ValueError, "ranking A rank must be an integer >= 1, got 1.5"),
+    # Checked inputs whose floor overflows: the line names both operands.
+    ("floor quotient overflows", lambda: bound_start_stop(1e10, 1e-300), ValueError,
+     "start-stop floor overflows the float range: cycles 10000000000.0 / total_cycles 1e-300"),
+    ("propagation cycles overflow", lambda: bound_propagation(1e308, 1e308, 0.0, 2e13),
+     ValueError,
+     "propagation floor overflows the float range: cycles inf / total_cycles 20000000000000.0"),
+    ("dispatch cycles overflow", lambda: bound_os_looping(1e308, 1e308, 2e13), ValueError,
+     "os-looping floor overflows the float range: cycles inf / total_cycles 20000000000000.0"),
 ]
 
 # Each law takes the serial distance only as an AlphaValue: a bare number

@@ -1,9 +1,12 @@
 """Property tests: report rendering against reference renderers, the
-scaling point of every record that validates, scenario lists against
-float(), and every public numeric argument against extreme values."""
+scaling point of every record that validates, the records, points and
+curves built without re-checking against the public constructors,
+scenario lists against float(), and every public numeric argument against
+extreme values."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -22,12 +25,12 @@ from hypothesis import strategies as st  # noqa: E402
 
 import parlimits  # noqa: E402
 from parlimits import (  # noqa: E402
-    AlphaValue, AmdahlPoint, BoundReport, MachineRecord, RankPairing, TimelineScenario,
-    alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification, bound_context_switch,
-    bound_os_looping, bound_propagation, bound_start_stop, cross_benchmark_ratio,
-    derive_points, efficiency, feasibility, fit, fit_by_category, is_weak_agreement,
-    linear_ramp, mpe_grouping_effect, p_max, project_trend, required_one_minus_alpha,
-    simulate, speedup, virtual_scale,
+    AlphaValue, AmdahlPoint, BoundReport, ForecastCurve, MachineRecord, RankPairing,
+    TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification,
+    bound_context_switch, bound_os_looping, bound_propagation, bound_start_stop,
+    cross_benchmark_ratio, derive_points, efficiency, feasibility, fit, fit_by_category,
+    is_weak_agreement, linear_ramp, mpe_grouping_effect, p_max, parse_csv, project_trend,
+    required_one_minus_alpha, simulate, speedup, virtual_scale,
 )
 from parlimits.cli import ReportDocument, main  # noqa: E402
 from parlimits.timeline import _parse_per_unit  # noqa: E402
@@ -152,6 +155,93 @@ def test_every_valid_record_with_cores_yields_a_point(rpeak, e, cores):
     ((got, point),) = derive_points([rec])
     assert got is rec
     assert point.k == cores
+
+
+# ---- the CSV reader builds what the public constructors build -----------------------
+
+# The cell kinds of the edge-case fixtures: padding that int() and float()
+# skip and padding only str.strip() skips, NaN and infinities, integers far
+# beyond the float range, subnormal efficiencies, rmax a hair above rpeak,
+# and enum values with and without padding.
+def _mostly(valid, bad):
+    """A cell strategy that draws a bad value one time in eight."""
+    return st.integers(0, 7).flatmap(lambda i: bad if i == 0 else valid)
+
+
+PAD = st.sampled_from(["", " ", "\t", "\xa0", "\x1c", "\x1f"])
+HUGE = st.sampled_from([2**1024, 10**400])
+NAMES = _mostly(st.sampled_from(["Box", " Box ", 'B\u00f8x "Q", \u00dc']),
+                st.sampled_from(["", "   ", "\xa0"]))
+YEARS = _mostly(st.integers(1950, 2100), st.integers(-3, 1949) | HUGE)
+COUNTS = _mostly(st.integers(1, 2**64) | st.just(int(sys.float_info.max)),
+                 st.integers(-3, 0) | HUGE)
+RPEAKS = _mostly(POSITIVE, st.floats() | st.just(-0.0) | HUGE)
+# rmax as rpeak times an efficiency, a hair above 1 inside the slack, or
+# outside it, or subnormal.
+RMAX_FACTORS = _mostly(EFFICIENCY | st.just(1.0 + 1e-9),
+                       st.sampled_from([1.0 + 2e-9, 2.0, 1e-310, 2**-1074, 0.0, -1.0, math.nan]))
+BENCHMARK_CELLS = _mostly(st.sampled_from(["HPL", "HPCG", " HPCG\t"]),
+                          st.sampled_from(["hpl", "LINPACK", ""]))
+ARCHITECTURE_CELLS = _mostly(st.sampled_from(["MPP", "Cluster", "Other", "\x1cMPP"]),
+                             st.sampled_from(["Grid", ""]))
+ACCELERATOR_CELLS = _mostly(st.sampled_from(["None", "GPU", "Coprocessor", "Other"]),
+                            st.sampled_from(["none", "FPGA"]))
+
+
+def _padded(data, value) -> str:
+    text = repr(value) if isinstance(value, float) else str(value)
+    return data.draw(PAD) + text + data.draw(PAD)
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_parsed_row_is_the_public_constructors_record_and_point(data):
+    rpeak = data.draw(RPEAKS)
+    rmax = data.draw(RMAX_FACTORS.map(lambda f: rpeak * f) if isinstance(rpeak, float)
+                     else RPEAKS)
+    cells = [data.draw(NAMES), _padded(data, data.draw(YEARS)),
+             _padded(data, data.draw(COUNTS)), data.draw(BENCHMARK_CELLS),
+             _padded(data, rmax), _padded(data, rpeak), _padded(data, data.draw(COUNTS)),
+             data.draw(ARCHITECTURE_CELLS), data.draw(ACCELERATOR_CELLS)]
+    row = io.StringIO()
+    csv.writer(row, lineterminator="\n").writerow(cells)
+    parsed = parse_csv(CSV_HEADER + "\n" + row.getvalue())
+
+    name, year, rank, benchmark, rmax, rpeak, cores, architecture, accelerator = (
+        cell.strip() for cell in cells)
+    fields = (name, int(year), int(rank), benchmark, float(rmax), float(rpeak), int(cores),
+              architecture, accelerator)
+    try:
+        want = MachineRecord(*fields)
+    except ValueError as exc:
+        assert parsed.records == ()
+        assert [r.reason for r in parsed.rejections] == [str(exc)]
+        return
+    assert parsed.rejections == ()
+    (got,) = parsed.records
+    assert got == want and repr(got) == repr(want)
+    if want.cores < 2:
+        return
+    ((_, point),) = derive_points([got])
+    expected = AmdahlPoint(want.cores, want.efficiency)
+    assert point == expected and repr(point) == repr(expected)
+    assert repr(point.one_minus_alpha) == repr(expected.one_minus_alpha)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=POSITIVE, oma=st.floats(0.0, 1.0),
+       k_max=st.floats(1.0, 1e13) | st.integers(1, 10**13))
+@example(p=2**-1074, oma=1.0, k_max=1e13)
+@example(p=2**-1074, oma=0.5, k_max=3.0)
+@example(p=sys.float_info.max / 1e13, oma=2**-1074, k_max=1e13)
+@example(p=11.78e9, oma=0.0, k_max=1e13)
+def test_every_virtual_scale_curve_passes_the_public_constructor(p, oma, k_max):
+    try:
+        curve = virtual_scale(p, AlphaValue(oma), k_max)
+    except ValueError as exc:
+        assert str(exc) == "the sweep's end k_max * P overflows the float range"
+        return
+    assert ForecastCurve(curve.source, curve.samples, curve.asymptote_flops) == curve
 
 
 # ---- any record file: a report or exit 2, never a traceback -------------------------
