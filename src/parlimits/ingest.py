@@ -103,7 +103,11 @@ def _check_record(name, year, rank, benchmark, rmax_gflops, rpeak_gflops, cores,
     is bad, in field order; else return rmax_gflops and rpeak_gflops as
     floats. A true int or float passes each test inline; only a value that
     fails one goes on to the checker in errors, for its message."""
-    if not name or not name.strip():
+    try:
+        blank = not str.strip(name)
+    except TypeError:  # str.strip takes only a str
+        raise ValueError(f"name must be a string, got {name!r}") from None
+    if blank:
         raise ValueError("name must be nonempty")
     if type(year) is not int or year < 1950:
         check_count(year, "year", 1950)

@@ -12,6 +12,11 @@ sw_post, access_term). All quantities are in cycles of a common clock:
     end_i   = start_i + pd_out_i + payload_i + pd_in_i
     total   = max(end_i) + suffix
 
+simulate finds max(end_i) without holding start_i or end_i for all n
+units at once: it walks the units in cache-sized blocks and carries the
+dispatch running sum and the latest end from block to block, which gives
+the bits of the whole-array arithmetic.
+
 The breakdown also maps every cycle of the n * total capacity rectangle
 to a category. Unit i's column holds its own dispatch slot, delays, and
 payload; unit 0's column additionally hosts the serial prefix and
@@ -39,6 +44,7 @@ from .errors import DegenerateScenarioError, check_count, check_number
 
 _SCALAR_FIELDS = ("sw_pre", "sw_post", "os_pre", "os_post", "access_init", "access_term")
 _PER_UNIT_FIELDS = ("payload_cycles", "dispatch_cycles", "pd_out_cycles", "pd_in_cycles")
+_BUSY_FIELDS = ("pd_out_cycles", "payload_cycles", "pd_in_cycles")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -68,12 +74,23 @@ def linear_ramp(n_units: int, max_value: float) -> np.ndarray:
     if n_units == 1:
         return np.zeros(1)
     with _unit_memory(n_units):
-        steps = np.arange(n_units, dtype=float)
+        # In place: one n-entry array, the same two roundings per value.
+        ramp = np.arange(n_units, dtype=float)
         with np.errstate(over="ignore"):
-            ramp = max_value * steps / (n_units - 1)
+            ramp *= max_value
+        ramp /= n_units - 1
         if ramp[-1] == math.inf:
+            steps = np.arange(n_units, dtype=float)
             ramp = np.where(ramp < math.inf, ramp, max_value * (steps / (n_units - 1)))
         return ramp
+
+
+@dataclass(frozen=True)
+class _Parsed:
+    """Per-unit values that parse_scenario has just built and holds nowhere
+    else, so TimelineScenario keeps the array without copying it."""
+
+    values: np.ndarray
 
 
 def _same_units(a: float | np.ndarray, b: float | np.ndarray, n: int) -> bool:
@@ -90,7 +107,8 @@ class TimelineScenario:
     Per-unit fields accept either a scalar (applied uniformly) or a
     sequence of exactly n_units values. A scalar is stored as a float; a
     sequence is stored as a read-only float64 copy, so later changes to
-    the caller's list or array do not reach the scenario. Two scenarios
+    the caller's list or array do not reach the scenario (the arrays that
+    parse_scenario builds are kept as they are). Two scenarios
     are equal when they describe the same values for every unit, whichever
     form holds them.
     """
@@ -117,10 +135,13 @@ class TimelineScenario:
     def _normalize(self, name: str, value: float | Sequence[float]) -> float | np.ndarray:
         if isinstance(value, Real):
             return check_number(value, name, 0)
-        try:
-            values = np.array(value, dtype=float)
-        except OverflowError:
-            raise ValueError(f"{name} has an integer beyond the float range") from None
+        if type(value) is _Parsed:
+            values = value.values
+        else:
+            try:
+                values = np.array(value, dtype=float)
+            except OverflowError:
+                raise ValueError(f"{name} has an integer beyond the float range") from None
         if values.shape != (self.n_units,):
             raise ValueError(
                 f"{name} has {values.size} entries for {self.n_units} units"
@@ -215,41 +236,73 @@ def _field_sum(value: float | np.ndarray, n: int) -> float:
     return float(value.sum())
 
 
+# Units are scheduled in blocks of this many (512 KB of float64 per array),
+# so the pass over a large run keeps its arrays in cache.
+_BLOCK = 2**16
+
+
+def _unit_slice(value: float | np.ndarray, lo: int, hi: int) -> float | np.ndarray:
+    """A per-unit field over units lo..hi-1; a uniform value stays a float."""
+    return value if isinstance(value, float) else value[lo:hi]
+
+
 # Uniform values broadcast inside each elementwise operation below, which
 # gives the bits of a full array of them.
 
-def _busy(scenario: TimelineScenario) -> float | np.ndarray:
-    """pd_out + payload + pd_in of each unit; a float when all are uniform."""
-    busy = scenario.pd_out_cycles + scenario.payload_cycles
-    busy += scenario.pd_in_cycles
+def _busy(scenario: TimelineScenario, lo: int, hi: int) -> float | np.ndarray:
+    """pd_out + payload + pd_in of units lo..hi-1; a float when all are uniform."""
+    busy = (_unit_slice(scenario.pd_out_cycles, lo, hi)
+            + _unit_slice(scenario.payload_cycles, lo, hi))
+    busy += _unit_slice(scenario.pd_in_cycles, lo, hi)
     return busy
 
 
-def _starts(scenario: TimelineScenario) -> np.ndarray:
-    """prefix plus the running sum of the dispatch slots up to each unit."""
-    start = np.cumsum(np.broadcast_to(scenario.dispatch_cycles, scenario.n_units))
+def _starts(scenario: TimelineScenario, lo: int, hi: int,
+            carry: float) -> tuple[np.ndarray, float]:
+    """prefix plus the running sum of the dispatch slots up to each of units
+    lo..hi-1, and that running sum at unit hi - 1. carry is the running sum
+    at unit lo - 1, as an earlier call returned it."""
+    n, dispatch = scenario.n_units, scenario.dispatch_cycles
+    if _sums_exactly(dispatch, n):
+        # Every partial sum (i + 1) * dispatch is a float exactly.
+        start = np.arange(lo + 1.0, hi + 1.0)
+        start *= dispatch
+    else:
+        start = np.array(np.broadcast_to(dispatch, n)[lo:hi])
+        if lo:
+            # cumsum adds in sequence, so seeding it with the sum so far
+            # continues the cumsum over all n units bit for bit.
+            start[0] += carry
+        np.cumsum(start, out=start)
+    carry = float(start[-1])
     start += scenario.prefix_cycles
-    return start
+    return start, carry
 
 
-def _max_end(scenario: TimelineScenario, busy: float | np.ndarray) -> float:
+def _max_end(scenario: TimelineScenario) -> float:
     """The latest end time of any unit."""
     n, dispatch = scenario.n_units, scenario.dispatch_cycles
-    if isinstance(busy, float) and _sums_exactly(dispatch, n):
+    if _sums_exactly(dispatch, n) and all(
+            isinstance(getattr(scenario, name), float) for name in _BUSY_FIELDS):
         # start_i = prefix + (i + 1) * dispatch never falls, so neither
         # does end_i = start_i + busy: the last unit ends last.
-        return scenario.prefix_cycles + n * dispatch + busy
-    end = _starts(scenario)
-    end += busy
-    return float(end.max())
+        return scenario.prefix_cycles + n * dispatch + _busy(scenario, 0, n)
+    # max rounds nothing, so the running max over blocks is the max over all.
+    max_end, carry = -math.inf, 0.0
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        end, carry = _starts(scenario, lo, hi, carry)
+        end += _busy(scenario, lo, hi)
+        max_end = max(max_end, float(end.max()))
+    return max_end
 
 
 def _unit_arrays(scenario: TimelineScenario, total: float) -> tuple[np.ndarray, ...]:
     """start, busy, end and idle arrays of every unit of a simulated run."""
     n = scenario.n_units
     with _unit_memory(n):
-        start = _starts(scenario)
-        busy = _busy(scenario)
+        start, _ = _starts(scenario, 0, n, 0.0)
+        busy = _busy(scenario, 0, n)
         if isinstance(busy, float):
             busy = np.full(n, busy)
         # Capacity map: unit i's column carries its dispatch slot and busy
@@ -267,15 +320,20 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     A uniform field whose n values sum exactly (see _sums_exactly) is
     summed in closed form, and so is the schedule when dispatch is such a
     field and every busy field is uniform: then the cost does not grow
-    with n_units. The results carry the bits of the full array arithmetic.
+    with n_units. Any other schedule is walked in cache-sized blocks of
+    units, with no temporary array of n_units entries. The results carry
+    the bits of the full array arithmetic.
     """
     n = scenario.n_units
     # Finite inputs may add up beyond the float range, which is refused below.
     with _unit_memory(n), np.errstate(over="ignore"):
-        max_end = _max_end(scenario, _busy(scenario))
-        total = max_end + scenario.suffix_cycles
+        # The sums come first: a uniform dispatch outside the exact-sum
+        # domain is summed as a full array, so a unit count beyond memory
+        # is refused there before the blocked pass could walk it.
         payload_sum, dispatch_sum, pd_out_sum, pd_in_sum = (
             _field_sum(getattr(scenario, name), n) for name in _PER_UNIT_FIELDS)
+        max_end = _max_end(scenario)
+        total = max_end + scenario.suffix_cycles
     capacity = n * total
     if not (math.isfinite(capacity) and math.isfinite(payload_sum)):
         raise ValueError("scenario cycle totals overflow the float range")
@@ -358,7 +416,8 @@ def parse_scenario(text: str, source: str = "<string>") -> TimelineScenario:
     for key, (lineno, value) in raw.items():
         try:
             if key in _PER_UNIT_FIELDS:
-                kwargs[key] = _parse_per_unit(value, n_units)
+                values = _parse_per_unit(value, n_units)
+                kwargs[key] = values if isinstance(values, float) else _Parsed(values)
             else:
                 kwargs[key] = float(value)
         except ValueError as exc:

@@ -251,8 +251,10 @@ GOLDEN = Path(__file__).parent / "golden"
 # uniform_8 and uniform_1000 were recorded before uniform fields had a
 # closed form; uniform_1e12 is checked against exact arithmetic in
 # test_timeline.py, since no per-unit array of that size fits in memory.
+# ramp_200001 and ramp_1e6_dyadic were recorded before the schedule was
+# walked in blocks, and span several of them.
 @pytest.mark.parametrize("name", ["three_units", "ramp_1000", "uniform_8", "uniform_1000",
-                                  "uniform_1e12"])
+                                  "uniform_1e12", "ramp_200001", "ramp_1e6_dyadic"])
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 def test_simulate_report_matches_golden_bytes(name, fmt, capsys, monkeypatch):
     # The golden reports name the scenario by its relative path.

@@ -11,9 +11,9 @@ import math
 import pytest
 
 from parlimits import (
-    AmdahlPoint, InconsistentMeasurementError, RankPairing, amplification, bound_os_looping,
-    bound_propagation, bound_start_stop, efficiency, feasibility, p_max, parse_csv, speedup,
-    virtual_scale,
+    AmdahlPoint, InconsistentMeasurementError, MachineRecord, RankPairing, amplification,
+    bound_os_looping, bound_propagation, bound_start_stop, efficiency, feasibility, p_max,
+    parse_csv, speedup, virtual_scale,
 )
 
 
@@ -77,6 +77,9 @@ BAD_CALLS = [
      "propagation floor overflows the float range: cycles inf / total_cycles 20000000000000.0"),
     ("dispatch cycles overflow", lambda: bound_os_looping(1e308, 1e308, 2e13), ValueError,
      "os-looping floor overflows the float range: cycles inf / total_cycles 20000000000000.0"),
+    ("record name is not a string",
+     lambda: MachineRecord(5, 2017, 1, "HPL", 9.0, 10.0, 64, "MPP", "None"), ValueError,
+     "name must be a string, got 5"),
 ]
 
 # Each law takes the serial distance only as an AlphaValue: a bare number

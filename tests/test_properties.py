@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
 import os
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -29,11 +31,11 @@ from parlimits import (  # noqa: E402
     TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification,
     bound_context_switch, bound_os_looping, bound_propagation, bound_start_stop,
     cross_benchmark_ratio, derive_points, efficiency, feasibility, fit, fit_by_category,
-    is_weak_agreement, linear_ramp, mpe_grouping_effect, p_max, parse_csv, project_trend,
-    required_one_minus_alpha, simulate, speedup, virtual_scale,
+    is_weak_agreement, linear_ramp, load_scenario, mpe_grouping_effect, p_max, parse_csv,
+    project_trend, required_one_minus_alpha, simulate, speedup, virtual_scale,
 )
 from parlimits.cli import ReportDocument, main  # noqa: E402
-from parlimits.timeline import _parse_per_unit  # noqa: E402
+from parlimits.timeline import _BLOCK, _parse_per_unit  # noqa: E402
 from test_cli import _refuse_non_json  # noqa: E402
 from test_timeline import _fields  # noqa: E402
 
@@ -390,6 +392,107 @@ def test_uniform_fields_simulate_as_their_full_arrays(n, serial, data):
         except ValueError as exc:
             outcomes.append(repr(exc))
     assert outcomes[0] == outcomes[1]
+
+
+# ---- the blocked schedule pass keeps the bits of the full-array pass --------------------
+
+_MANY = 3 * _BLOCK + 7
+SCHEDULE_UNITS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _MANY]
+
+
+@st.composite
+def per_unit_values(draw, n: int):
+    """A uniform value (dyadic, non-dyadic, any or subnormal), a linear ramp
+    or an explicit array of unequal values."""
+    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "any", "subnormal", "ramp", "array"]))
+    if kind == "dyadic":
+        return math.ldexp(draw(st.integers(0, 10**6)), -draw(st.integers(0, 10)))
+    if kind == "non-dyadic":
+        return draw(st.sampled_from([0.1, 1 / 3, 0.7, 7e15]))
+    if kind == "any":
+        return draw(st.floats(0, 1e9))
+    if kind == "subnormal":
+        return math.ldexp(draw(st.integers(1, 2**20)), -1074)
+    if kind == "ramp":
+        return linear_ramp(n, draw(st.sampled_from([2e6, 1e308]) | st.floats(0, 1e6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(n) * draw(st.sampled_from([1e-320, 0.1, 1e6, 1e300]))
+
+
+@st.composite
+def block_scenarios(draw):
+    n = draw(st.sampled_from(SCHEDULE_UNITS))
+    values = [draw(per_unit_values(n), label=name)
+              for name in ("payload", "dispatch", "pd_out", "pd_in")]
+    serial = draw(st.floats(0, 1e6))
+    return TimelineScenario(n, *values, sw_pre=serial, os_post=serial)
+
+
+def _reference_schedule(sc: TimelineScenario) -> tuple:
+    """max end, total and the unit arrays with one n-entry array per step."""
+    n = sc.n_units
+    start = np.cumsum(np.broadcast_to(sc.dispatch_cycles, n))
+    start += sc.prefix_cycles
+    busy = sc.pd_out_cycles + sc.payload_cycles
+    busy += sc.pd_in_cycles
+    busy = np.array(np.broadcast_to(busy, n))
+    end = start + busy
+    max_end = float(end.max())
+    total = max_end + sc.suffix_cycles
+    idle = np.full(n, total)
+    idle -= sc.dispatch_cycles
+    idle -= busy
+    idle[0] -= sc.prefix_cycles + sc.suffix_cycles
+    payload = float(np.array(np.broadcast_to(sc.payload_cycles, n)).sum())
+    return max_end, total, payload, (start, busy, end, idle)
+
+
+def _schedule_bits(max_end, total, payload, arrays) -> tuple:
+    # repr tells -0.0 from 0.0; a digest of each array's bytes keeps a
+    # failure message short.
+    return (repr(max_end), repr(total), repr(payload),
+            *(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=block_scenarios())
+# Uniform and explicit non-dyadic dispatch: the running sum is carried from
+# block to block, and the last unit, in the last block, ends last.
+@example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), 0.1, 120.0, 80.0, sw_pre=3e3))
+@example(scenario=TimelineScenario(_BLOCK + 1, 1.0, 1 / 3))
+@example(scenario=TimelineScenario(_MANY, 5.0, np.full(_MANY, 0.7), os_pre=2.5))
+# A dyadic dispatch forms its running sums in closed form.
+@example(scenario=TimelineScenario(_MANY, 3e6, 1.25, linear_ramp(_MANY, 1500.0), 40.0))
+def test_blocked_schedule_matches_the_full_array_formulas(scenario):
+    n = scenario.n_units
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in an overflowing run
+        reference = _reference_schedule(scenario)
+    try:
+        out = simulate(scenario)
+    except ValueError as exc:
+        # Only sums beyond the float range, a run of no cycles, or a payload
+        # too small for a finite 1 - alpha are refused.
+        total, payload = reference[1:3]
+        assert (not math.isfinite(n * total) or not math.isfinite(payload)
+                or total == 0.0 or "payload is too small" in str(exc)), exc
+        return
+    arrays = (out.unit_start, out.unit_busy, out.unit_end, out.unit_idle)
+    assert _schedule_bits(out.max_end_cycles, out.total_cycles, out.payload_cycles,
+                          arrays) == _schedule_bits(*reference)
+
+
+def test_simulating_a_million_unit_ramp_holds_no_full_array():
+    # Starts, busy and end times of all units at once would take 16 MB;
+    # those of one block of units take about 1 MB.
+    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "golden",
+                                          "ramp_1e6_dyadic.scn"))
+    tracemalloc.start()
+    try:
+        simulate(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 # ---- a one-unit run's 1 - alpha is within two roundings of the exact value --------------

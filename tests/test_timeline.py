@@ -166,6 +166,21 @@ def test_linear_ramp_matches_the_scalar_loop_bit_for_bit():
         assert linear_ramp(n, top).tolist() == reference
 
 
+def test_linear_ramp_keeps_the_bits_of_its_whole_array_formula():
+    # 2**16 + 1 units cross a schedule block edge; 1e308 * i overflows, so
+    # those entries take max_value * (i / (n - 1)).
+    for n in (1, 2, 1000, 2**16 + 1):
+        steps = np.arange(n, dtype=float)
+        for top in (0.0, 2e6, 1e308):
+            if n == 1:
+                reference = np.zeros(1)
+            else:
+                with np.errstate(over="ignore"):
+                    reference = top * steps / (n - 1)
+                reference = np.where(reference < math.inf, reference, top * (steps / (n - 1)))
+            assert linear_ramp(n, top).tobytes() == reference.tobytes(), (n, top)
+
+
 # ---- per-unit representation ------------------------------------------------
 
 def _fields(out) -> tuple:
@@ -287,6 +302,19 @@ def test_explicit_list_parses_without_copying_its_text():
         tracemalloc.stop()
     assert values[-1] == 2e5 + 17.25 * 99_999
     assert peak < 9 * len(value)
+
+
+def test_parsed_ramp_is_kept_without_a_copy():
+    # A copy of the parser's own 8 MB ramp would double the peak.
+    text = "n_units = 1000000\npayload_cycles = linear:2e6\ndispatch_cycles = 1\n"
+    tracemalloc.start()
+    try:
+        sc = parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sc.payload_cycles.tobytes() == linear_ramp(10**6, 2e6).tobytes()
+    assert peak <= 1.25 * sc.payload_cycles.nbytes
 
 
 def test_arrays_beyond_memory_are_a_one_line_value_error():
