@@ -44,7 +44,6 @@ from .errors import DegenerateScenarioError, check_count, check_number
 
 _SCALAR_FIELDS = ("sw_pre", "sw_post", "os_pre", "os_post", "access_init", "access_term")
 _PER_UNIT_FIELDS = ("payload_cycles", "dispatch_cycles", "pd_out_cycles", "pd_in_cycles")
-_BUSY_FIELDS = ("pd_out_cycles", "payload_cycles", "pd_in_cycles")
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -257,41 +256,40 @@ def _busy(scenario: TimelineScenario, lo: int, hi: int) -> float | np.ndarray:
     return busy
 
 
-def _starts(scenario: TimelineScenario, lo: int, hi: int,
+def _starts(prefix: float, dispatch: float | np.ndarray, lo: int, hi: int,
             carry: float) -> tuple[np.ndarray, float]:
     """prefix plus the running sum of the dispatch slots up to each of units
     lo..hi-1, and that running sum at unit hi - 1. carry is the running sum
     at unit lo - 1, as an earlier call returned it."""
-    n, dispatch = scenario.n_units, scenario.dispatch_cycles
-    if _sums_exactly(dispatch, n):
-        # Every partial sum (i + 1) * dispatch is a float exactly.
-        start = np.arange(lo + 1.0, hi + 1.0)
-        start *= dispatch
-    else:
-        start = np.array(np.broadcast_to(dispatch, n)[lo:hi])
-        if lo:
-            # cumsum adds in sequence, so seeding it with the sum so far
-            # continues the cumsum over all n units bit for bit.
-            start[0] += carry
-        np.cumsum(start, out=start)
+    start = np.empty(hi - lo)
+    start[:] = _unit_slice(dispatch, lo, hi)
+    if lo:
+        # cumsum adds in sequence, so seeding it with the sum so far
+        # continues the cumsum over all n units bit for bit.
+        start[0] += carry
+    np.cumsum(start, out=start)
     carry = float(start[-1])
-    start += scenario.prefix_cycles
+    start += prefix
     return start, carry
 
 
 def _max_end(scenario: TimelineScenario) -> float:
     """The latest end time of any unit."""
     n, dispatch = scenario.n_units, scenario.dispatch_cycles
-    if _sums_exactly(dispatch, n) and all(
-            isinstance(getattr(scenario, name), float) for name in _BUSY_FIELDS):
-        # start_i = prefix + (i + 1) * dispatch never falls, so neither
-        # does end_i = start_i + busy: the last unit ends last.
-        return scenario.prefix_cycles + n * dispatch + _busy(scenario, 0, n)
+    if isinstance(dispatch, float) and isinstance(_busy(scenario, 0, 1), float):
+        if _sums_exactly(dispatch, n):
+            # start_i = prefix + (i + 1) * dispatch never falls, so neither
+            # does end_i = start_i + busy: the last unit ends last.
+            return scenario.prefix_cycles + n * dispatch + _busy(scenario, 0, n)
+        # No per-unit array bounds n here, and the walk below takes time in
+        # proportion to it: a full dispatch array refuses a unit count beyond
+        # memory at once.
+        dispatch = np.full(n, dispatch)
     # max rounds nothing, so the running max over blocks is the max over all.
     max_end, carry = -math.inf, 0.0
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        end, carry = _starts(scenario, lo, hi, carry)
+        end, carry = _starts(scenario.prefix_cycles, dispatch, lo, hi, carry)
         end += _busy(scenario, lo, hi)
         max_end = max(max_end, float(end.max()))
     return max_end
@@ -301,7 +299,7 @@ def _unit_arrays(scenario: TimelineScenario, total: float) -> tuple[np.ndarray, 
     """start, busy, end and idle arrays of every unit of a simulated run."""
     n = scenario.n_units
     with _unit_memory(n):
-        start, _ = _starts(scenario, 0, n, 0.0)
+        start, _ = _starts(scenario.prefix_cycles, scenario.dispatch_cycles, 0, n, 0.0)
         busy = _busy(scenario, 0, n)
         if isinstance(busy, float):
             busy = np.full(n, busy)
@@ -321,15 +319,14 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     summed in closed form, and so is the schedule when dispatch is such a
     field and every busy field is uniform: then the cost does not grow
     with n_units. Any other schedule is walked in cache-sized blocks of
-    units, with no temporary array of n_units entries. The results carry
-    the bits of the full array arithmetic.
+    units. That pass holds no temporary array of n_units entries, except
+    a full array of a uniform dispatch when every field is uniform; summing
+    a uniform field outside the exact-sum domain also builds a full array
+    of it. The results carry the bits of the full array arithmetic.
     """
     n = scenario.n_units
     # Finite inputs may add up beyond the float range, which is refused below.
     with _unit_memory(n), np.errstate(over="ignore"):
-        # The sums come first: a uniform dispatch outside the exact-sum
-        # domain is summed as a full array, so a unit count beyond memory
-        # is refused there before the blocked pass could walk it.
         payload_sum, dispatch_sum, pd_out_sum, pd_in_sum = (
             _field_sum(getattr(scenario, name), n) for name in _PER_UNIT_FIELDS)
         max_end = _max_end(scenario)

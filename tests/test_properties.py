@@ -461,7 +461,7 @@ def _schedule_bits(max_end, total, payload, arrays) -> tuple:
 @example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), 0.1, 120.0, 80.0, sw_pre=3e3))
 @example(scenario=TimelineScenario(_BLOCK + 1, 1.0, 1 / 3))
 @example(scenario=TimelineScenario(_MANY, 5.0, np.full(_MANY, 0.7), os_pre=2.5))
-# A dyadic dispatch forms its running sums in closed form.
+# A dyadic dispatch, whose running sums are all exact, under a ramp.
 @example(scenario=TimelineScenario(_MANY, 3e6, 1.25, linear_ramp(_MANY, 1500.0), 40.0))
 def test_blocked_schedule_matches_the_full_array_formulas(scenario):
     n = scenario.n_units

@@ -18,6 +18,7 @@ from parlimits import (
     parse_scenario,
     simulate,
     speedup,
+    timeline,
 )
 from parlimits.timeline import _parse_per_unit
 
@@ -326,6 +327,20 @@ def test_arrays_beyond_memory_are_a_one_line_value_error():
         simulate(TimelineScenario(n_units=n, payload_cycles=1.0, dispatch_cycles=0.1))
     with pytest.raises(ValueError, match=message):
         linear_ramp(n, 1.0)
+
+
+def test_uniform_schedule_beyond_memory_is_refused_whatever_sums_the_fields(monkeypatch):
+    # Sum every field in closed form, as a non-dyadic closed form would, and
+    # fail at once where the blocked pass starts to walk instead of hanging.
+    monkeypatch.setattr(timeline, "_field_sum", lambda value, n: n * value)
+
+    def walk(*args):
+        raise AssertionError("the blocked pass walked a unit count beyond memory")
+
+    monkeypatch.setattr(timeline, "_starts", walk)
+    n = 2**56
+    with pytest.raises(ValueError, match=f"^n_units = {n} needs per-unit arrays"):
+        simulate(TimelineScenario(n_units=n, payload_cycles=1.0, dispatch_cycles=0.1))
 
 
 # ---- invariances --------------------------------------------------------------
