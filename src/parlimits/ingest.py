@@ -20,10 +20,10 @@ without newline translation, so that digest is the digest of the file's
 bytes.
 
 Each cell is checked once, where it enters: parse_csv converts it with
-int() or float() and runs MachineRecord's own checks on the result, with
-the same messages in the same order, then builds the record without
-checking it again; derive_points builds each AmdahlPoint the same way.
-MachineRecord(...) and AmdahlPoint(...) still check every argument.
+int() or float() and calls MachineRecord(...), and derive_points calls
+AmdahlPoint(...); each type has that one constructor. A record with two
+or more cores always has a point, because both constructors apply the
+same slack test to the same quotient rmax/rpeak.
 
 Writing uses repr() for the float columns, so a load -> write -> load
 cycle reproduces records bit for bit.
@@ -46,8 +46,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .amdahl import EFFICIENCY_SLACK, AmdahlPoint, _point
-from .errors import SchemaError, check_count, check_number
+from .amdahl import EFFICIENCY_SLACK, AmdahlPoint
+from .errors import _FLOAT_MAX, SchemaError, check_count, check_number
 
 CANONICAL_COLUMNS = (
     "name", "year", "rank", "benchmark", "rmax_gflops", "rpeak_gflops",
@@ -62,13 +62,20 @@ _BUNDLED_CSV = "top500_2017.csv"
 # The source label of the packaged records in a RecordSet and in reports.
 BUNDLED_SOURCE = f"packaged:{_BUNDLED_CSV}"
 
-_FLOAT_MAX = sys.float_info.max
 _FLOAT_MIN = sys.float_info.min
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class MachineRecord:
-    """One benchmark entry of one machine on one list edition."""
+    """One benchmark entry of one machine on one list edition.
+
+    MachineRecord(...) is the one way to build a record. It raises the
+    one-line ValueError of the first field that is bad, in field order. A
+    true int or float passes each test inline; only a value that fails one
+    goes on to the checker in errors, for its message. A record with
+    cores >= 2 always has an AmdahlPoint: its efficiency rmax/rpeak is a
+    normal float that EFFICIENCY_SLACK snaps to at most 1.
+    """
 
     name: str
     year: int
@@ -80,12 +87,55 @@ class MachineRecord:
     architecture: str
     accelerator: str
 
-    def __post_init__(self) -> None:
-        rmax, rpeak = _check_record(
-            self.name, self.year, self.rank, self.benchmark, self.rmax_gflops,
-            self.rpeak_gflops, self.cores, self.architecture, self.accelerator)
-        object.__setattr__(self, "rmax_gflops", rmax)
-        object.__setattr__(self, "rpeak_gflops", rpeak)
+    def __init__(self, name: str, year: int, rank: int, benchmark: str, rmax_gflops: float,
+                 rpeak_gflops: float, cores: int, architecture: str, accelerator: str) -> None:
+        try:
+            blank = not str.strip(name)
+        except TypeError:  # str.strip takes only a str
+            raise ValueError(f"name must be a string, got {name!r}") from None
+        if blank:
+            raise ValueError("name must be nonempty")
+        if type(year) is not int or year < 1950:
+            check_count(year, "year", 1950)
+        if type(rank) is not int or rank < 1:
+            check_count(rank, "rank", 1)
+        if rank > _FLOAT_MAX:
+            raise ValueError("rank exceeds the float range")
+        if benchmark not in BENCHMARKS:
+            raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {benchmark!r}")
+        if type(rmax_gflops) is not float or type(rpeak_gflops) is not float:
+            # The CSV reader passes floats; any other number becomes one first.
+            rmax_gflops = check_number(rmax_gflops, "rmax_gflops", -math.inf, finite=False)
+            rpeak_gflops = check_number(rpeak_gflops, "rpeak_gflops", -math.inf, finite=False)
+        if not (0 < rmax_gflops < math.inf):
+            raise ValueError(f"rmax_gflops must be positive and finite, got {rmax_gflops!r}")
+        if not (0 < rpeak_gflops < math.inf):
+            raise ValueError(f"rpeak_gflops must be positive and finite, got {rpeak_gflops!r}")
+        # The test AmdahlPoint applies: a hair of rounding slack is snapped to 1.
+        efficiency = rmax_gflops / rpeak_gflops
+        if efficiency > 1.0 + EFFICIENCY_SLACK:
+            raise ValueError(f"rmax {rmax_gflops!r} exceeds rpeak {rpeak_gflops!r}")
+        # A subnormal efficiency has no 1 - alpha that a float can hold.
+        if not efficiency >= _FLOAT_MIN:
+            raise ValueError(
+                f"efficiency rmax/rpeak = {efficiency!r} is below the smallest normal float")
+        if type(cores) is not int or cores < 1:
+            check_count(cores, "cores", 1)
+        if cores > _FLOAT_MAX:
+            raise ValueError("cores exceeds the float range")
+        if architecture not in ARCHITECTURES:
+            raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {architecture!r}")
+        if accelerator not in ACCELERATORS:
+            raise ValueError(f"accelerator must be one of {ACCELERATORS}, got {accelerator!r}")
+        _SET_NAME(self, name)
+        _SET_YEAR(self, year)
+        _SET_RANK(self, rank)
+        _SET_BENCHMARK(self, benchmark)
+        _SET_RMAX(self, rmax_gflops)
+        _SET_RPEAK(self, rpeak_gflops)
+        _SET_CORES(self, cores)
+        _SET_ARCHITECTURE(self, architecture)
+        _SET_ACCELERATOR(self, accelerator)
 
     @property
     def per_processor_gflops(self) -> float:
@@ -97,75 +147,10 @@ class MachineRecord:
         return self.rmax_gflops / self.rpeak_gflops
 
 
-def _check_record(name, year, rank, benchmark, rmax_gflops, rpeak_gflops, cores,
-                  architecture, accelerator) -> tuple[float, float]:
-    """Raise the one-line ValueError of the first MachineRecord field that
-    is bad, in field order; else return rmax_gflops and rpeak_gflops as
-    floats. A true int or float passes each test inline; only a value that
-    fails one goes on to the checker in errors, for its message."""
-    try:
-        blank = not str.strip(name)
-    except TypeError:  # str.strip takes only a str
-        raise ValueError(f"name must be a string, got {name!r}") from None
-    if blank:
-        raise ValueError("name must be nonempty")
-    if type(year) is not int or year < 1950:
-        check_count(year, "year", 1950)
-    if type(rank) is not int or rank < 1:
-        check_count(rank, "rank", 1)
-    if rank > _FLOAT_MAX:
-        raise ValueError("rank exceeds the float range")
-    if benchmark not in BENCHMARKS:
-        raise ValueError(f"benchmark must be one of {BENCHMARKS}, got {benchmark!r}")
-    if type(rmax_gflops) is not float or type(rpeak_gflops) is not float:
-        # The CSV reader passes floats; any other number becomes one first.
-        rmax_gflops = check_number(rmax_gflops, "rmax_gflops", -math.inf, finite=False)
-        rpeak_gflops = check_number(rpeak_gflops, "rpeak_gflops", -math.inf, finite=False)
-    if not (0 < rmax_gflops < math.inf):
-        raise ValueError(f"rmax_gflops must be positive and finite, got {rmax_gflops!r}")
-    if not (0 < rpeak_gflops < math.inf):
-        raise ValueError(f"rpeak_gflops must be positive and finite, got {rpeak_gflops!r}")
-    # Allow a hair of rounding slack, mirroring the efficiency clamp.
-    if rmax_gflops > rpeak_gflops * (1.0 + EFFICIENCY_SLACK):
-        raise ValueError(f"rmax {rmax_gflops!r} exceeds rpeak {rpeak_gflops!r}")
-    # A subnormal efficiency has no 1 - alpha that a float can hold.
-    if not rmax_gflops / rpeak_gflops >= _FLOAT_MIN:
-        raise ValueError(
-            f"efficiency rmax/rpeak = {rmax_gflops / rpeak_gflops!r} "
-            "is below the smallest normal float"
-        )
-    if type(cores) is not int or cores < 1:
-        check_count(cores, "cores", 1)
-    if cores > _FLOAT_MAX:
-        raise ValueError("cores exceeds the float range")
-    if architecture not in ARCHITECTURES:
-        raise ValueError(f"architecture must be one of {ARCHITECTURES}, got {architecture!r}")
-    if accelerator not in ACCELERATORS:
-        raise ValueError(f"accelerator must be one of {ACCELERATORS}, got {accelerator!r}")
-    return rmax_gflops, rpeak_gflops
-
-
 # The slots' own setters: they bypass the frozen __setattr__.
 (_SET_NAME, _SET_YEAR, _SET_RANK, _SET_BENCHMARK, _SET_RMAX, _SET_RPEAK, _SET_CORES,
  _SET_ARCHITECTURE, _SET_ACCELERATOR) = (
     getattr(MachineRecord, f).__set__ for f in MachineRecord.__match_args__)
-
-
-def _record(name, year, rank, benchmark, rmax_gflops, rpeak_gflops, cores,
-            architecture, accelerator) -> MachineRecord:
-    """The MachineRecord of fields that _check_record has passed, built
-    without __init__ and __post_init__."""
-    rec = object.__new__(MachineRecord)
-    _SET_NAME(rec, name)
-    _SET_YEAR(rec, year)
-    _SET_RANK(rec, rank)
-    _SET_BENCHMARK(rec, benchmark)
-    _SET_RMAX(rec, rmax_gflops)
-    _SET_RPEAK(rec, rpeak_gflops)
-    _SET_CORES(rec, cores)
-    _SET_ARCHITECTURE(rec, architecture)
-    _SET_ACCELERATOR(rec, accelerator)
-    return rec
 
 
 @dataclass(frozen=True)
@@ -305,9 +290,8 @@ def parse_csv(text: str, source: str = "<string>") -> RecordSet:
                            _as_int(cores, "cores"))
             year, rank, rmax, rpeak, cores = numbers
             benchmark = benchmark.strip()
-            fields = (name.strip(), year, rank, benchmark, rmax, rpeak, cores,
-                      architecture.strip(), accelerator.strip())
-            _check_record(*fields)
+            rec = MachineRecord(name.strip(), year, rank, benchmark, rmax, rpeak, cores,
+                                architecture.strip(), accelerator.strip())
             key = (year, benchmark, rank)
             if key in seen:
                 raise ValueError(f"duplicate rank {rank} for year {year} {benchmark}")
@@ -315,7 +299,7 @@ def parse_csv(text: str, source: str = "<string>") -> RecordSet:
         except ValueError as exc:
             rejections.append(RejectedRow(row_number, str(exc), _raw_cells(header, row)))
             continue
-        records.append(_record(*fields))
+        records.append(rec)
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     # Every repeated (year, benchmark, rank) is quarantined above, so the set
@@ -380,7 +364,7 @@ def derive_points(records: Iterable[MachineRecord],
                 stacklevel=2,
             )
             continue
-        points.append((rec, _point(rec.cores, rec.efficiency)))
+        points.append((rec, AmdahlPoint(rec.cores, rec.efficiency)))
     return points
 
 

@@ -120,13 +120,21 @@ def test_analyze_tolerates_efficiency_near_one(tmp_path, capsys):
     assert "Tight" in out
 
 
-@pytest.mark.parametrize("bad_row", [
-    "Underflow,2017,2,HPL,1e-300,1e300,64,MPP,None",
-    "Subnormal,2017,2,HPL,1e-10,1e300,64,MPP,None",
-    "Huge,2017,2,HPL,9.0,10.0," + "1" + "0" * 400 + ",MPP,None",
-    "Far,2017," + "1" + "0" * 400 + ",HPL,9.0,10.0,64,MPP,None",
-], ids=["underflow", "subnormal", "huge-cores", "huge-rank"])
-def test_analyze_quarantines_records_without_a_point(bad_row, tmp_path, capsys):
+@pytest.mark.parametrize("bad_row, reason", [
+    ("Underflow,2017,2,HPL,1e-300,1e300,64,MPP,None",
+     "efficiency rmax/rpeak = 0.0 is below the smallest normal float"),
+    ("Subnormal,2017,2,HPL,1e-10,1e300,64,MPP,None",
+     "efficiency rmax/rpeak = 1e-310 is below the smallest normal float"),
+    ("Huge,2017,2,HPL,9.0,10.0," + "1" + "0" * 400 + ",MPP,None",
+     "cores exceeds the float range"),
+    ("Far,2017," + "1" + "0" * 400 + ",HPL,9.0,10.0,64,MPP,None",
+     "rank exceeds the float range"),
+    # rmax is rpeak * (1 + 1e-9) rounded: inside the slack as a product, but
+    # the subnormal rpeak's rounding puts the quotient rmax/rpeak outside it.
+    ("Edge,2017,2,HPL,2.225073860732e-311,2.225073858507e-311,64,MPP,None",
+     "rmax 2.225073860732e-311 exceeds rpeak 2.225073858507e-311"),
+], ids=["underflow", "subnormal", "huge-cores", "huge-rank", "subnormal-rpeak"])
+def test_analyze_quarantines_records_without_a_point(bad_row, reason, tmp_path, capsys):
     p = tmp_path / "edge.csv"
     p.write_text(HEADER + "\nGood,2017,1,HPL,9.0,10.0,64,MPP,None\n" + bad_row + "\n"
                  "Other,2017,3,HPL,5.0,10.0,64,MPP,None\n", encoding="utf-8")
@@ -134,7 +142,7 @@ def test_analyze_quarantines_records_without_a_point(bad_row, tmp_path, capsys):
     assert (code, err) == (0, "")
     assert "records: 2" in out
     assert "quarantined: 1" in out
-    assert "row 3 quarantined" in out
+    assert f"row 3 quarantined: {reason}\n" in out
     assert "Good" in out and "Other" in out
 
 
@@ -292,6 +300,8 @@ GOLDEN_REPORTS = [
      ANALYZE_ALL[:1] + ["--dataset", "edge_points.csv"] + ANALYZE_ALL[1:]),
     ("analyze_cr_only", ANALYZE_ALL[:1] + ["--dataset", "cr_only.csv"] + ANALYZE_ALL[1:]),
     ("analyze_lone_cr", ANALYZE_ALL[:1] + ["--dataset", "lone_cr.csv"] + ANALYZE_ALL[1:]),
+    ("analyze_two_years",
+     ANALYZE_ALL[:1] + ["--dataset", "two_years.csv"] + ANALYZE_ALL[1:]),
 ]
 FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
 

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import ast
+import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import math
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -89,6 +92,53 @@ def test_record_tolerates_hairline_efficiency_overshoot():
     assert r.efficiency > 1.0
     with pytest.raises(ValueError):
         record(rmax_gflops=1000.0 * (1.0 + 1e-8))
+
+
+# ---- each record type has one constructor ----------------------------------------
+
+# (a valid instance, a field change its constructor refuses, the message)
+RECORD_TYPES = [
+    (record(), {"rmax_gflops": 2000.0}, "rmax 2000.0 exceeds rpeak 1000.0"),
+    (AmdahlPoint(1024, 0.9), {"efficiency": 2.0},
+     "efficiency 2.0 exceeds 1; no alpha reproduces it"),
+]
+
+
+@pytest.mark.parametrize("obj, change, message", RECORD_TYPES,
+                         ids=["MachineRecord", "AmdahlPoint"])
+def test_replace_runs_the_constructors_checks(obj, change, message):
+    assert dataclasses.replace(obj) == obj
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(obj, **change)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj", [t[0] for t in RECORD_TYPES],
+                         ids=["MachineRecord", "AmdahlPoint"])
+def test_copies_keep_equality_and_hash(obj):
+    for twin in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+
+
+@pytest.mark.parametrize("obj", [t[0] for t in RECORD_TYPES],
+                         ids=["MachineRecord", "AmdahlPoint"])
+def test_constructor_takes_keywords_and_match_takes_positions(obj):
+    cls = type(obj)
+    values = {f: getattr(obj, f) for f in cls.__match_args__}
+    assert cls(**values) == obj
+    match obj:
+        case cls(first, second):
+            assert (first, second) == tuple(values.values())[:2]
+        case _:
+            pytest.fail("no match on __match_args__")
+
+
+@pytest.mark.parametrize("obj", [t[0] for t in RECORD_TYPES],
+                         ids=["MachineRecord", "AmdahlPoint"])
+def test_fields_cannot_be_set(obj):
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
 
 
 # ---- CSV parsing ----------------------------------------------------------------
