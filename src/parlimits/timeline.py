@@ -14,8 +14,11 @@ sw_post, access_term). All quantities are in cycles of a common clock:
 
 simulate finds max(end_i) without holding start_i or end_i for all n
 units at once: it walks the units in cache-sized blocks and carries the
-dispatch running sum and the latest end from block to block, which gives
-the bits of the whole-array arithmetic.
+latest end from block to block. A uniform dispatch whose running sums are
+all exact (integer and dyadic cycle counts, see _sums_exactly) gives the
+starts as the product prefix + (i + 1) * dispatch; any other dispatch is
+a cumsum whose running sum is carried from block to block. Both give the
+bits of the whole-array arithmetic.
 
 The breakdown also maps every cycle of the n * total capacity rectangle
 to a category. Unit i's column holds its own dispatch slot, delays, and
@@ -25,8 +28,11 @@ to the capacity, which is what makes the share table trustworthy.
 
 The effective parallel fraction of a run compares it to a single unit
 doing all payload back to back: S = sum(payload) / total, mapped through
-the inverse speedup law at k = n. A one-unit run has no speedup signal,
-so its alpha is reported as the payload fraction of the run itself.
+the inverse speedup law at k = n. Below S = n that law's
+1 - alpha = (n * total - sum(payload)) / ((n - 1) * sum(payload)) is
+formed exactly and rounded once, since k - S cancels when the run is
+nearly all payload. A one-unit run has no speedup signal, so its alpha is
+reported as the payload fraction of the run itself.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from fractions import Fraction
 from numbers import Real
 from typing import Callable, Iterator, Sequence
 
@@ -257,10 +264,18 @@ def _busy(scenario: TimelineScenario, lo: int, hi: int) -> float | np.ndarray:
 
 
 def _starts(prefix: float, dispatch: float | np.ndarray, lo: int, hi: int,
-            carry: float) -> tuple[np.ndarray, float]:
+            carry: float, exact: bool) -> tuple[np.ndarray, float]:
     """prefix plus the running sum of the dispatch slots up to each of units
     lo..hi-1, and that running sum at unit hi - 1. carry is the running sum
-    at unit lo - 1, as an earlier call returned it."""
+    at unit lo - 1, as an earlier call returned it. exact says that
+    _sums_exactly holds for dispatch over the whole run."""
+    if exact:
+        # Every running sum (i + 1) * dispatch is a float exactly, so the
+        # product has the bits of the cumsum, with no scan.
+        start = np.arange(lo + 1, hi + 1, dtype=float)
+        start *= dispatch
+        start += prefix
+        return start, hi * dispatch
     start = np.empty(hi - lo)
     start[:] = _unit_slice(dispatch, lo, hi)
     if lo:
@@ -276,10 +291,12 @@ def _starts(prefix: float, dispatch: float | np.ndarray, lo: int, hi: int,
 def _max_end(scenario: TimelineScenario) -> float:
     """The latest end time of any unit."""
     n, dispatch = scenario.n_units, scenario.dispatch_cycles
+    exact = _sums_exactly(dispatch, n)
     if isinstance(dispatch, float) and isinstance(_busy(scenario, 0, 1), float):
-        if _sums_exactly(dispatch, n):
-            # start_i = prefix + (i + 1) * dispatch never falls, so neither
-            # does end_i = start_i + busy: the last unit ends last.
+        if exact:
+            # start_i = prefix + (i + 1) * dispatch, the form _starts takes,
+            # never falls, so neither does end_i = start_i + busy: the last
+            # unit, i = n - 1, ends last.
             return scenario.prefix_cycles + n * dispatch + _busy(scenario, 0, n)
         # No per-unit array bounds n here, and the walk below takes time in
         # proportion to it: a full dispatch array refuses a unit count beyond
@@ -289,7 +306,7 @@ def _max_end(scenario: TimelineScenario) -> float:
     max_end, carry = -math.inf, 0.0
     for lo in range(0, n, _BLOCK):
         hi = min(lo + _BLOCK, n)
-        end, carry = _starts(scenario.prefix_cycles, dispatch, lo, hi, carry)
+        end, carry = _starts(scenario.prefix_cycles, dispatch, lo, hi, carry, exact)
         end += _busy(scenario, lo, hi)
         max_end = max(max_end, float(end.max()))
     return max_end
@@ -299,14 +316,16 @@ def _unit_arrays(scenario: TimelineScenario, total: float) -> tuple[np.ndarray, 
     """start, busy, end and idle arrays of every unit of a simulated run."""
     n = scenario.n_units
     with _unit_memory(n):
-        start, _ = _starts(scenario.prefix_cycles, scenario.dispatch_cycles, 0, n, 0.0)
+        dispatch = scenario.dispatch_cycles
+        start, _ = _starts(scenario.prefix_cycles, dispatch, 0, n, 0.0,
+                           _sums_exactly(dispatch, n))
         busy = _busy(scenario, 0, n)
         if isinstance(busy, float):
             busy = np.full(n, busy)
         # Capacity map: unit i's column carries its dispatch slot and busy
         # segments; unit 0's column also carries the serial prefix and suffix.
         idle = np.full(n, total)
-        idle -= scenario.dispatch_cycles
+        idle -= dispatch
         idle -= busy
         idle[0] -= scenario.prefix_cycles + scenario.suffix_cycles
         return start, busy, start + busy, idle
@@ -319,10 +338,13 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     summed in closed form, and so is the schedule when dispatch is such a
     field and every busy field is uniform: then the cost does not grow
     with n_units. Any other schedule is walked in cache-sized blocks of
-    units. That pass holds no temporary array of n_units entries, except
+    units, whose starts are the product prefix + (i + 1) * dispatch under
+    such a dispatch and a cumsum carried from block to block under any
+    other. That pass holds no temporary array of n_units entries, except
     a full array of a uniform dispatch when every field is uniform; summing
     a uniform field outside the exact-sum domain also builds a full array
-    of it. The results carry the bits of the full array arithmetic.
+    of it. The results carry the bits of the full array arithmetic, and
+    1 - alpha is the exact quotient of the run's totals, rounded once.
     """
     n = scenario.n_units
     # Finite inputs may add up beyond the float range, which is refused below.
@@ -344,9 +366,18 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
         # Exact (Sterbenz) for payload_sum >= total / 2, where 1 - payload_sum / total cancels.
         alpha = AlphaValue((total - payload_sum) / total)
     else:
+        speedup = payload_sum / total
         try:
-            alpha = alpha_eff_from_speedup(payload_sum / total, n)
-        except ValueError:  # the speedup underflows, or 1 / speedup overflows
+            if speedup >= n:
+                # At or above the unit count: 0 inside the slack, else refused.
+                alpha = alpha_eff_from_speedup(speedup, n)
+            else:
+                # (k - S) / ((k - 1) S) with S = payload_sum / total, formed exactly
+                # and rounded once: in floats, k - S cancels when the run is
+                # nearly all payload.
+                payload = Fraction(payload_sum)
+                alpha = AlphaValue(float((n * Fraction(total) - payload) / ((n - 1) * payload)))
+        except (ValueError, OverflowError):  # the speedup underflows, or 1 / speedup overflows
             raise DegenerateScenarioError(
                 "payload is too small against the total cycles for a finite 1 - alpha"
             ) from None

@@ -400,6 +400,7 @@ def test_uniform_fields_simulate_as_their_full_arrays(n, serial, data):
 # ---- the blocked schedule pass keeps the bits of the full-array pass --------------------
 
 _MANY = 3 * _BLOCK + 7
+_EDGE = 2**17  # with a dispatch of 2**36, n * m == 2**53
 SCHEDULE_UNITS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _MANY]
 
 
@@ -466,6 +467,15 @@ def _schedule_bits(max_end, total, payload, arrays) -> tuple:
 @example(scenario=TimelineScenario(_MANY, 5.0, np.full(_MANY, 0.7), os_pre=2.5))
 # A dyadic dispatch, whose running sums are all exact, under a ramp.
 @example(scenario=TimelineScenario(_MANY, 3e6, 1.25, linear_ramp(_MANY, 1500.0), 40.0))
+# The edge of the exact-sum domain: n * m == 2**53 takes the product form,
+# and one unit more takes the cumsum.
+@example(scenario=TimelineScenario(_EDGE, linear_ramp(_EDGE, 2e6), 2.0**36))
+@example(scenario=TimelineScenario(_EDGE + 1, linear_ramp(_EDGE + 1, 2e6), 2.0**36))
+# A subnormal dyadic dispatch, a dispatch of 0.0, and an integer dispatch
+# under a ramp that crosses block boundaries.
+@example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), math.ldexp(3, -1074), 120.0))
+@example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 1500.0), 0.0, 40.0, sw_pre=3e3))
+@example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), 5.0, os_pre=2.5))
 def test_blocked_schedule_matches_the_full_array_formulas(scenario):
     n = scenario.n_units
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in an overflowing run
@@ -482,6 +492,22 @@ def test_blocked_schedule_matches_the_full_array_formulas(scenario):
     arrays = (out.unit_start, out.unit_busy, out.unit_end, out.unit_idle)
     assert _schedule_bits(out.max_end_cycles, out.total_cycles, out.payload_cycles,
                           arrays) == _schedule_bits(*reference)
+
+
+def test_exact_sum_dispatch_is_scheduled_without_a_scan(monkeypatch):
+    # An integer dispatch lies in the exact-sum domain, so every block's starts
+    # come from the product (i + 1) * dispatch; cumsum is the scan outside it.
+    scenario = TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), 5.0, sw_pre=3e3)
+    reference = _schedule_bits(*_reference_schedule(scenario))
+
+    def scan(*args, **kwargs):
+        raise AssertionError("the schedule pass ran a cumsum in the exact-sum domain")
+
+    monkeypatch.setattr(np, "cumsum", scan)
+    out = simulate(scenario)
+    arrays = (out.unit_start, out.unit_busy, out.unit_end, out.unit_idle)
+    assert _schedule_bits(out.max_end_cycles, out.total_cycles, out.payload_cycles,
+                          arrays) == reference
 
 
 def test_simulating_a_million_unit_ramp_holds_no_full_array():

@@ -129,6 +129,33 @@ def test_ten_million_units_with_light_payload():
     assert out.alpha_eff.one_minus_alpha == pytest.approx(5e-7, rel=1e-5)
 
 
+# ---- a many-unit run's 1 - alpha is the exact quotient, rounded once -----------
+
+def test_nearly_all_payload_run_keeps_every_digit_of_its_serial_distance():
+    # S = 999.999999999 is rounded to an ulp of 1000, so k - S formed from it
+    # gave 1.0009904150153499e-15, 1.1e-5 off.
+    out = simulate(TimelineScenario(n_units=1000, payload_cycles=1e12, sw_pre=1.0))
+    assert (out.total_cycles, out.payload_cycles) == (1e12 + 1, 1e15)
+    assert out.alpha_eff.one_minus_alpha == 1 / 999e12 == 1.001001001001001e-15
+
+
+@pytest.mark.parametrize("scenario", [
+    TimelineScenario(n_units=16, payload_cycles=2.0**40, dispatch_cycles=1.0),
+    TimelineScenario(n_units=8, payload_cycles=1000.5, dispatch_cycles=2.25, pd_out_cycles=3.0,
+                     pd_in_cycles=0.75, sw_pre=5.0, os_post=1.5, access_init=10.0),
+    TimelineScenario(n_units=1000, payload_cycles=linear_ramp(1000, 2e6), dispatch_cycles=0.1,
+                     sw_pre=3e3),
+    TimelineScenario(n_units=10_000_000, payload_cycles=2e13, dispatch_cycles=1.0),
+    TimelineScenario(n_units=2, payload_cycles=(1e300, 5e-324), dispatch_cycles=1.0),
+], ids=["k16-2**40", "uniform-8", "ramp-1000", "1e7-heavy", "two-units-far-apart"])
+def test_serial_distance_is_the_exact_quotient_of_the_reported_totals(scenario):
+    out = simulate(scenario)
+    n = scenario.n_units
+    total, payload = Fraction(out.total_cycles), Fraction(out.payload_cycles)
+    exact = (n * total - payload) / ((n - 1) * payload)
+    assert out.alpha_eff.one_minus_alpha == float(exact)
+
+
 # ---- helpers -----------------------------------------------------------------
 
 def test_linear_ramp_endpoints_and_spacing():
