@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import hashlib
 import importlib
 import json
@@ -181,9 +182,11 @@ def _render_table(table: ReportTable) -> list[str]:
         kinds = set(map(type, values))
         fmt = _FORMATTERS.get(kinds.pop(), _cell) if len(kinds) == 1 else _cell
         columns.append([title, *map(fmt, values)])
-    widths = [max(map(len, cells)) for cells in columns]
-    line = "  ".join(f"{{:<{w}}}" for w in widths).format
-    return [line(*cells).rstrip() for cells in zip(*columns)]
+    # Padded a column at a time; the last needs none, since rstrip drops it.
+    for i, cells in enumerate(columns[:-1]):
+        width = max(map(len, cells))
+        columns[i] = [cell.ljust(width) for cell in cells]
+    return ["  ".join(cells).rstrip() for cells in zip(*columns)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -268,22 +271,26 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
     for w in caught:
         report.warnings.append(str(w.message))
 
+    # Rows name their list year only when the records span more than one.
+    multi_year = len({rec.year for rec in records.records}) > 1
+
+    columns = ("name", "benchmark", "rank", "cores", "efficiency", "speedup",
+               "one_minus_alpha", "amplification")
     rows = [
         (rec.name, rec.benchmark, rec.rank, rec.cores, point.efficiency,
          point.speedup, point.one_minus_alpha, point.amplification)
         for rec, point in points
     ]
-    report.add_table(
-        "scaling points",
-        ("name", "benchmark", "rank", "cores", "efficiency", "speedup",
-         "one_minus_alpha", "amplification"),
-        rows,
-    )
+    if multi_year:
+        columns, rows = _with_year(columns, rows, (rec.year for rec, _ in points))
+    report.add_table("scaling points", columns, rows)
 
     # A machine's HPL and HPCG rows pair within one list edition.
-    by_name: dict[tuple[int, str], dict[str, tuple]] = {}
+    hpl: dict[tuple[int, str], tuple] = {}
+    hpcg: dict[tuple[int, str], tuple] = {}
+    by_benchmark = {"HPL": hpl, "HPCG": hpcg}
     for rec, point in points:
-        by_name.setdefault((rec.year, rec.name), {})[rec.benchmark] = (rec, point)
+        by_benchmark[rec.benchmark][rec.year, rec.name] = (rec, point)
 
     if args.fits:
         cat_points = [
@@ -315,35 +322,33 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
             )
             warn_excluded(cat, n_excluded)
 
-    paired = [key for key, entry in by_name.items() if "HPL" in entry and "HPCG" in entry]
     # In (year, name) order: a stable sort by year of the name-sorted keys
     # takes a third of the time of one sort of the (year, name) tuples.
-    both = {key: by_name[key]
-            for key in sorted(sorted(paired, key=itemgetter(1)), key=itemgetter(0))}
+    both = sorted(sorted(hpl.keys() & hpcg.keys(), key=itemgetter(1)), key=itemgetter(0))
 
     if args.ratios:
         # A ratio needs one_minus_alpha > 0 on both sides; efficiency 1 gives 0.
-        names, pairs = [], []
-        for (_, name), entry in both.items():
-            pair = (entry["HPL"][1].one_minus_alpha, entry["HPCG"][1].one_minus_alpha)
+        kept, pairs = [], []
+        for key in both:
+            pair = (hpl[key][1].one_minus_alpha, hpcg[key][1].one_minus_alpha)
             if 0.0 in pair:
                 zero = " and ".join(b for b, v in zip(("HPL", "HPCG"), pair) if v == 0.0)
                 report.warnings.append(
-                    f"skipping {name!r} in ratios: one_minus_alpha is 0 under {zero}")
+                    f"skipping {key[1]!r} in ratios: one_minus_alpha is 0 under {zero}")
                 continue
-            names.append(name)
+            kept.append(key)
             pairs.append(pair)
         if pairs:
             summary = cross_benchmark_ratio(pairs)
+            columns = ("name", "hpl", "hpcg", "ratio")
             ratio_rows = [
-                (n, p[0], p[1], r)
-                for n, p, r in zip(names, pairs, summary.ratios)
+                (name, p[0], p[1], r)
+                for (_, name), p, r in zip(kept, pairs, summary.ratios)
             ]
-            report.add_table(
-                "one_minus_alpha ratios HPCG/HPL",
-                ("name", "hpl", "hpcg", "ratio"),
-                ratio_rows,
-            )
+            if multi_year:
+                columns, ratio_rows = _with_year(columns, ratio_rows,
+                                                 (year for year, _ in kept))
+            report.add_table("one_minus_alpha ratios HPCG/HPL", columns, ratio_rows)
             report.add_table(
                 "ratio summary",
                 ("median", "band_low", "band_high", "plausible"),
@@ -363,8 +368,7 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
                 "no rank correlation")
         elif len(both) >= 3:
             pairing = RankPairing.from_raw(
-                (name, entry["HPL"][0].rank, entry["HPCG"][0].rank)
-                for (_, name), entry in both.items()
+                (key[1], hpl[key][0].rank, hpcg[key][0].rank) for key in both
             )
             rho = rank_correlation(pairing)
             report.add_table(
@@ -376,6 +380,13 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
             report.warnings.append(
                 "fewer than 3 machines under both benchmarks; no rank correlation"
             )
+
+
+def _with_year(columns: tuple[str, ...], rows: list[tuple], years) -> tuple:
+    """columns and rows with a year column after the first (name) column,
+    one year per row."""
+    return ((columns[0], "year", *columns[1:]),
+            [(row[0], year, *row[1:]) for row, year in zip(rows, years)])
 
 
 # ---- simulate --------------------------------------------------------------
@@ -520,6 +531,15 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     report = ReportDocument(command="parlimits " + " ".join(argv))
+    # A command builds csv rows, records, points and row tuples, none of which
+    # refer back to each other, so reference counting frees all of it. The
+    # collections that allocation counts trigger would only walk that data,
+    # so the collector is off while it is built and rendered (as in
+    # Mercurial's util.nogc), and back on after if it was on before. The few
+    # cycles a command does leave, from json's indenting encoder and from a
+    # first import of numpy, go in the first collection after.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         _COMMANDS[args.subcommand](args, report)
     except SystemExit as exc:
@@ -529,8 +549,13 @@ def main(argv: list[str] | None = None) -> int:
         # and domain errors: the input was unusable.
         print(f"parlimits: input error: {exc}", file=sys.stderr)
         return 2
+    else:
+        text = report.to_json() if args.json else report.to_text()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
+    sys.stdout.write(text)
     return 0
 
 

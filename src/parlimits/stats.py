@@ -140,9 +140,8 @@ class RankPairing:
     entries: tuple[tuple[Hashable, int, int], ...]
 
     def __post_init__(self) -> None:
+        self._check_ids()
         n = len(self.entries)
-        if len({e[0] for e in self.entries}) != n:
-            raise ValueError("duplicate ids in rank pairing")
         permutation = set(range(1, n + 1))
         for side, ranks in (("A", self.ranks_a), ("B", self.ranks_b)):
             if set(map(type, ranks)) <= {int} and set(ranks) == permutation:
@@ -150,6 +149,10 @@ class RankPairing:
             for r in ranks:
                 check_count(r, f"ranking {side} rank", 1)
             raise ValueError(f"ranking {side} must be a permutation of 1..{n}, got {ranks}")
+
+    def _check_ids(self) -> None:
+        if len({e[0] for e in self.entries}) != len(self.entries):
+            raise ValueError("duplicate ids in rank pairing")
 
     @property
     def ranks_a(self) -> tuple[int, ...]:
@@ -176,9 +179,14 @@ class RankPairing:
                 raise ValueError(f"ranking {side} contains duplicate ranks")
             positions.append({r: i for i, r in enumerate(distinct, 1)})
         pos_a, pos_b = positions
-        return cls(tuple(
+        # Densified ranks are permutations of 1..n, so of __post_init__'s
+        # checks only the one of the ids is left to make.
+        pairing = object.__new__(cls)
+        pairing.__dict__["entries"] = tuple(
             (ident, pos_a[ra], pos_b[rb]) for ident, ra, rb in entries
-        ))
+        )
+        pairing._check_ids()
+        return pairing
 
     def __len__(self) -> int:
         return len(self.entries)

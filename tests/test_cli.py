@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import parlimits
+from parlimits import cli
 from parlimits.cli import main
 
 HEADER = ("name,year,rank,benchmark,rmax_gflops,rpeak_gflops,"
@@ -178,6 +180,26 @@ def test_analyze_leaves_efficiency_one_out_of_ratios_and_fits(side, tmp_path, ca
     assert [row[0] for row in tables["one_minus_alpha ratios HPCG/HPL"]] == ["B", "C"]
     assert len(tables["ratio summary"]) == 1
     assert tables["rank agreement HPL vs HPCG"][0][0] == 3
+
+
+def test_analyze_names_the_list_year_of_each_row_when_there_are_two(tmp_path, capsys):
+    # A under both benchmarks in 2016 and in 2017: the two ratio rows, and
+    # the two rows of each benchmark, differ in their year.
+    p = tmp_path / "two_editions.csv"
+    p.write_text(HEADER + "\n" + "".join(
+        f"A,{year},1,{bench},{rmax},100.0,1000,MPP,None\n"
+        for year in (2016, 2017) for bench, rmax in (("HPL", 80.0), ("HPCG", 2.0))),
+        encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p), "--ratios", "--json")
+    assert (code, err) == (0, "")
+    tables = {t["title"]: t for t in json.loads(out)["tables"]}
+    points = tables["scaling points"]
+    assert points["columns"][:3] == ["name", "year", "benchmark"]
+    assert [row[:3] for row in points["rows"]] == [
+        ["A", 2016, "HPL"], ["A", 2016, "HPCG"], ["A", 2017, "HPL"], ["A", 2017, "HPCG"]]
+    ratios = tables["one_minus_alpha ratios HPCG/HPL"]
+    assert ratios["columns"] == ["name", "year", "hpl", "hpcg", "ratio"]
+    assert [row[:2] for row in ratios["rows"]] == [["A", 2016], ["A", 2017]]
 
 
 def test_analyze_unfit_warning_counts_only_usable_points(tmp_path, capsys):
@@ -679,6 +701,53 @@ def test_every_numeric_scenario_value_exits_cleanly(key, value, tmp_path, capsys
 
 
 # ---- generic behavior ------------------------------------------------------------------
+
+def _raise_runtime_error(args, report):
+    raise RuntimeError("a fault inside a command")
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state after the test, whatever it set."""
+    was_enabled = gc.isenabled()
+    yield
+    (gc.enable if was_enabled else gc.disable)()
+
+
+# One argv per way out of main: exit 0, a usage error, the bounds grouping
+# check's SystemExit(1), an input error, and an exception that propagates.
+EXIT_PATHS = {
+    "exit 0": (BOUNDS_ARGS, 0),
+    "usage error": (["bounds", "--total-cycles", "2e13"], 1),
+    "grouping flags apart": (BOUNDS_ARGS + ["--cores-per-group", "260"], 1),
+    "input error": (["analyze", "--dataset", "/no/such/file.csv"], 2),
+    "exception": (BOUNDS_ARGS, RuntimeError),
+}
+
+
+@pytest.mark.parametrize("enabled_before", [True, False], ids=["gc on", "gc off"])
+@pytest.mark.parametrize("path", EXIT_PATHS)
+def test_main_leaves_the_collector_as_it_found_it(path, enabled_before, collector_state,
+                                                  capsys, monkeypatch):
+    argv, expected = EXIT_PATHS[path]
+    (gc.enable if enabled_before else gc.disable)()
+    if expected is RuntimeError:
+        monkeypatch.setitem(cli._COMMANDS, "bounds", _raise_runtime_error)
+        with pytest.raises(RuntimeError, match="a fault inside a command"):
+            main(list(argv))
+    else:
+        assert main(list(argv)) == expected
+    assert gc.isenabled() is enabled_before
+
+
+def test_commands_run_without_collector_passes(capsys, monkeypatch):
+    # The collector is off while a command builds and renders its report.
+    seen = []
+    def spy(args, report):
+        seen.append(gc.isenabled())
+    monkeypatch.setitem(cli._COMMANDS, "bounds", spy)
+    assert main(list(BOUNDS_ARGS)) == 0
+    assert seen == [False]
 
 def test_no_subcommand_is_usage_error(capsys):
     assert run(capsys, )[0] == 1

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import parlimits  # noqa: E402
@@ -540,6 +540,36 @@ def test_one_unit_serial_distance_matches_exact_arithmetic(payload, others):
     exact = (total - payload_sum) / total
     got = Fraction(out.alpha_eff.one_minus_alpha)
     assert abs(got - exact) <= Fraction(2.3e-16) * exact
+
+
+# ---- a many-unit run's 1 - alpha is the exact quotient of its totals, rounded once ------
+
+@st.composite
+def many_unit_scenarios(draw):
+    """n >= 2 units with uniform, ramped or explicit per-unit values."""
+    n = draw(st.integers(2, 2000) | st.sampled_from(SCHEDULE_UNITS[1:]))
+    values = [draw(per_unit_values(n), label=name)
+              for name in ("payload", "dispatch", "pd_out", "pd_in")]
+    serial = draw(st.floats(0, 1e6) | st.just(0.0))
+    return TimelineScenario(n, *values, sw_pre=serial, os_post=serial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario=many_unit_scenarios())
+# Nearly all payload, where k - S cancels in floats.
+@example(scenario=TimelineScenario(1000, 1e12, sw_pre=1.0))
+@example(scenario=TimelineScenario(16, 2.0**40, 1.0))
+def test_serial_distance_below_the_unit_count_is_the_exact_quotient(scenario):
+    n = scenario.n_units
+    try:
+        out = simulate(scenario)
+    except ValueError:  # totals beyond the float range, or no finite 1 - alpha
+        assume(False)
+    # Below S = n, with some payload; at or above it the inverse speedup law applies.
+    assume(0.0 < out.payload_cycles and out.payload_cycles / out.total_cycles < n)
+    total, payload = Fraction(out.total_cycles), Fraction(out.payload_cycles)
+    exact = float((n * total - payload) / ((n - 1) * payload))
+    assert out.alpha_eff.one_minus_alpha == exact
 
 
 # ---- every public number: a result or a one-line ValueError ----------------------------
