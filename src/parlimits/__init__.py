@@ -13,8 +13,8 @@ systems, all built on the same serial-fraction scaling law:
     for machines that do not exist yet.
 
 Each exported name is imported from its module on first access (PEP 562),
-so that `import parlimits` loads no numpy: only timeline and forecast use
-arrays, and importing numpy costs more than an analyze or bounds run.
+so that `import parlimits` loads no numpy: only timeline uses arrays, and
+importing numpy costs more than an analyze, bounds or forecast run.
 """
 from __future__ import annotations
 

@@ -87,7 +87,7 @@ def _oma(alpha: AlphaValue, name: str = "alpha") -> float:
 
 
 def _denominator(k, oma):
-    """1 + (k - 1)(1 - alpha), which is k / S and 1 / E; k may be an array."""
+    """1 + (k - 1)(1 - alpha), which is k / S and 1 / E."""
     return 1.0 + (k - 1.0) * oma
 
 

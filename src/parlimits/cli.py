@@ -52,12 +52,14 @@ def _deferred(module: str, name: str):
     return call
 
 
-# timeline and forecast import numpy, which takes longer to load than an
-# analyze or bounds run takes, so they load on the first simulate or
-# forecast call. The four names stay module-level callables, looked up at
-# call time, because perfbench/spans.py wraps them with setattr; once the CLI
-# writes its own phase traces (ROADMAP, observability), imports inside
-# _cmd_simulate and _cmd_forecast can replace them.
+# timeline imports numpy, which takes longer to load than an analyze or
+# bounds run, so it loads on the first simulate call. Importing forecast
+# costs 2-4 ms per start (STEPS, three dataclasses, and compiling where no
+# bytecode cache is written), so it loads on the first forecast call. The
+# four names stay module-level callables, looked up at call time, because
+# perfbench/spans.py wraps them with setattr; once the CLI writes its own
+# phase traces (ROADMAP, observability), imports inside _cmd_simulate and
+# _cmd_forecast can replace them.
 load_scenario = _deferred(".timeline", "load_scenario")
 simulate = _deferred(".timeline", "simulate")
 feasibility = _deferred(".forecast", "feasibility")

@@ -5,7 +5,9 @@ Two exercises, both holding (1 - alpha) fixed while the machine grows:
   * virtual_scale: take one machine's per-unit performance and alpha,
     sweep the unit count, and watch r_max crawl toward p_max. Its
     r_peak axis is k * P, so a sweep up to a peak rate R is
-    virtual_scale(P, alpha, k_max=R / P).
+    virtual_scale(P, alpha, k_max=R / P). k runs on a decade-aligned grid
+    of correctly rounded products, so a curve has the same bits on every
+    platform; a pow kernel may round otherwise on another CPU.
   * feasibility: would a target rate fit under p_max at all, and with
     how much margin.
 
@@ -20,8 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from decimal import Context, Decimal
 
 from .amdahl import AlphaValue, _denominator, _oma, p_max, required_one_minus_alpha
 from .errors import check_number
@@ -32,8 +33,10 @@ CONSTANT_ALPHA_CAVEAT = (
     "OS overheads grow with the unit count, so these curves are ceilings"
 )
 
-# Log-spaced sampling density for scaling sweeps.
+# Samples per decade of a scaling sweep, and the correctly rounded 10 ** (i / 64).
 SAMPLES_PER_DECADE = 64
+STEPS = tuple(float(Context(prec=40).power(10, Decimal(i) / SAMPLES_PER_DECADE))
+              for i in range(SAMPLES_PER_DECADE))
 
 
 @dataclass(frozen=True)
@@ -72,29 +75,16 @@ class ForecastCurve:
         return tuple(s[1] for s in self.samples)
 
 
-def _log_grid(lo: float, hi: float) -> np.ndarray:
-    """Log-spaced values from 0 < lo to hi < inf inclusive, SAMPLES_PER_DECADE dense."""
-    if lo == hi:
-        return np.array([lo])
-    decades = math.log10(hi) - math.log10(lo)
-    count = max(2, int(math.ceil(decades * SAMPLES_PER_DECADE)) + 1)
-    # 10 ** log10(hi) may round past the float range for hi near it.
-    with np.errstate(over="ignore"):
-        grid = np.logspace(math.log10(lo), math.log10(hi), count)
-    # Endpoints exactly as requested, whatever logspace rounded them to.
-    grid[0], grid[-1] = lo, hi
-    return grid
-
-
 def virtual_scale(per_processor_perf: float,
                   alpha: AlphaValue,
                   k_max: float,
                   source: str = "") -> ForecastCurve:
     """Grow a machine of fixed per-unit performance and fixed alpha.
 
-    Samples k on a log grid from 1 to k_max; r_peak = k * P and
-    r_max = k * P * E(alpha, k). The asymptote is p_max(P, alpha).
-    A sub-serial 1 - alpha, above 1, is refused: its r_max falls with k.
+    Samples k from 1 to k_max, 64 per decade: sample j is the one rounded
+    product STEPS[j % 64] * 10 ** (j // 64), and the last is k_max itself.
+    r_peak = k * P, r_max = k * P * E(alpha, k), and the asymptote is
+    p_max(P, alpha). A sub-serial 1 - alpha, above 1, has no rising curve.
     """
     p = check_number(per_processor_perf, "performance", 0, strict=True)
     oma = _oma(alpha)
@@ -103,20 +93,26 @@ def virtual_scale(per_processor_perf: float,
     k_max = check_number(k_max, "k_max", 1.0)
     if k_max * p == math.inf:
         raise ValueError("the sweep's end k_max * P overflows the float range")
-    ks = _log_grid(1.0, k_max)
-    r_peak = ks * p
-    # The quotient can lose an ulp between neighbouring samples at large k,
-    # and is 0 where the denominator overflows; the running maximum keeps
-    # the curve nondecreasing and every bit where it already was.
-    with np.errstate(over="ignore"):
-        r_max = np.maximum.accumulate(r_peak / _denominator(ks, oma))
-    # Both axes are nondecreasing, and r_max = r_peak / (a denominator >= 1)
-    # stays under r_peak and p_max, so the curve is built without the
-    # per-sample walk of ForecastCurve.__post_init__.
+    n = math.ceil(math.log10(k_max) * SAMPLES_PER_DECADE)  # 0 only at k_max == 1
+    scales = [float(f"1e{d}") for d in range(n // SAMPLES_PER_DECADE + 1)]
+    ks = [step * scale for scale in scales for step in STEPS][:n] + [k_max]
+    if n:  # a log10 rounded up past a grid point puts only the last one past k_max
+        ks[-2] = min(ks[-2], k_max)
+    # The quotient can lose an ulp between neighbouring samples at large k, so
+    # r_max is a running maximum. With both axes nondecreasing and r_max under
+    # r_peak and p_max, the curve skips the per-sample walk of __post_init__.
+    samples = []
+    r_max = 0.0
+    for k in ks:
+        r_peak = k * p
+        r = r_peak / _denominator(k, oma)
+        if r > r_max:
+            r_max = r
+        samples.append((r_peak, r_max))
     curve = object.__new__(ForecastCurve)
     curve.__dict__.update(
         source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
-        samples=tuple(zip(r_peak.tolist(), r_max.tolist())),
+        samples=tuple(samples),
         asymptote_flops=p_max(p, alpha),
     )
     return curve

@@ -249,7 +249,8 @@ def _readable_rows(reader) -> Iterator[list[str] | csv.Error]:
 def parse_csv(text: str, source: str = "<string>") -> RecordSet:
     """Parse CSV text into a RecordSet; bad rows land in rejections."""
     # newline="", as the csv docs require: then a \r ends a row, as \n does.
-    rows = _readable_rows(csv.reader(io.StringIO(text, newline="")))
+    # A leading byte-order mark is not part of the header; the digest keeps it.
+    rows = _readable_rows(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     header = next(rows, None)
     if isinstance(header, csv.Error):
         raise SchemaError(f"{source}: unreadable header: {header}")

@@ -416,7 +416,8 @@ _SCENARIO_KEYS = set(_SCALAR_FIELDS) | set(_PER_UNIT_FIELDS) | {"n_units"}
 def parse_scenario(text: str, source: str = "<string>") -> TimelineScenario:
     """Parse scenario text; errors carry the 1-based offending line."""
     raw: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # A leading byte-order mark is not part of the first key.
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

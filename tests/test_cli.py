@@ -438,6 +438,42 @@ def test_crlf_scenario_digest_is_of_the_file_bytes(tmp_path, capsys):
     assert doc["inputs"][0]["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
+def _report_with_and_without_bom(tmp_path, capsys, text, name, *argv):
+    """JSON reports of one input file written with a leading U+FEFF and without,
+    and the sha256 of the file with it."""
+    docs = []
+    for prefix in ("\ufeff", ""):
+        p = tmp_path / f"{len(prefix)}{name}"
+        p.write_bytes((prefix + text).encode("utf-8"))
+        code, out, err = run(capsys, *argv, str(p), "--json")
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    return docs, hashlib.sha256((tmp_path / f"1{name}").read_bytes()).hexdigest()
+
+
+def test_dataset_with_a_byte_order_mark_parses_as_without_it(tmp_path, capsys):
+    text = parlimits.ingest.bundled_csv_text()
+    (with_bom, without), digest = _report_with_and_without_bom(
+        tmp_path, capsys, text, "records.csv", "analyze", "--fits", "--dataset")
+    assert with_bom["inputs"][0]["sha256"] == digest
+    for doc in (with_bom, without):
+        del doc["command"], doc["inputs"]
+    assert with_bom == without
+    records = parlimits.parse_csv("\ufeff" + text)
+    assert records.records == parlimits.parse_csv(text).records
+    assert records.provenance.sha256 == digest
+
+
+def test_scenario_with_a_byte_order_mark_parses_as_without_it(tmp_path, capsys):
+    (with_bom, without), digest = _report_with_and_without_bom(
+        tmp_path, capsys, SCENARIO, "two.scn", "simulate")
+    assert with_bom["inputs"][0]["sha256"] == digest
+    for doc in (with_bom, without):
+        del doc["command"], doc["inputs"]
+    assert with_bom == without
+    assert parlimits.parse_scenario("\ufeff" + SCENARIO) == parlimits.parse_scenario(SCENARIO)
+
+
 def test_simulate_omits_per_unit_table_for_wide_machines(tmp_path, capsys):
     lines = "n_units = 40\npayload_cycles = 100\ndispatch_cycles = 1\n"
     p = tmp_path / "wide.scn"
@@ -636,7 +672,7 @@ def test_forecast_nonsense_rate_or_factor_is_input_error(flag, capsys):
 
 
 def test_forecast_sweep_to_the_largest_float_warns_nothing(capsys):
-    # 10 ** log10(max float) rounds past the float range inside the log grid.
+    # The sweep's last decade, up to STEPS[16] * 1e308, ends at the largest float.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, _, err = run(capsys, "forecast", "--target", "1e18", "--per-processor-perf", "1",

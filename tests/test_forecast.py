@@ -2,10 +2,12 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from parlimits import forecast
 from parlimits import (
     AlphaValue,
     AlreadyAchievableError,
@@ -39,6 +41,30 @@ def test_curve_grid_endpoints_are_exact():
     assert c.samples[-1][0] == 1e15
     # about 64 samples per decade of scale
     assert 6 * 64 <= len(c.samples) <= 6 * 64 + 2
+
+
+def test_steps_are_the_correctly_rounded_powers_of_ten():
+    with localcontext() as ctx:
+        ctx.prec = 120
+        exact = [Decimal(10) ** (Decimal(i) / 64) for i in range(64)]
+    assert forecast.STEPS == tuple(float(x) for x in exact)
+
+
+def test_curve_grid_is_decade_aligned():
+    c = virtual_scale(1.0, AlphaValue(1e-8), k_max=1e12)
+    assert c.r_peak == tuple(forecast.STEPS[j % 64] * float(f"1e{j // 64}")
+                             for j in range(12 * 64)) + (1e12,)
+
+
+def test_a_log10_rounded_up_cannot_carry_the_sweep_past_k_max(monkeypatch):
+    # Only libm's log10 places the sweep's end; IEEE 754 does not ask it to
+    # round correctly. One rounded up past a grid point asks for a sample more.
+    log10 = math.log10
+    monkeypatch.setattr(math, "log10", lambda x: math.nextafter(log10(x), math.inf))
+    k_max = math.nextafter(forecast.STEPS[32] * 1e3, 0.0)
+    c = virtual_scale(1.0, AlphaValue(1e-8), k_max=k_max)
+    assert c.r_peak[-3:] == (forecast.STEPS[31] * 1e3, k_max, k_max)
+    assert ForecastCurve(c.source, c.samples, c.asymptote_flops) == c
 
 
 def test_curve_is_monotone_and_dominated_by_rpeak():

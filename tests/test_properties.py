@@ -35,6 +35,7 @@ from parlimits import (  # noqa: E402
     project_trend, required_one_minus_alpha, simulate, speedup, virtual_scale,
 )
 from parlimits.cli import ReportDocument, main  # noqa: E402
+from parlimits.forecast import STEPS  # noqa: E402
 from parlimits.timeline import _BLOCK, _parse_per_unit  # noqa: E402
 from test_cli import _refuse_non_json  # noqa: E402
 from test_timeline import _fields  # noqa: E402
@@ -233,13 +234,28 @@ def test_parsed_row_is_the_public_constructors_record_and_point(data):
     assert repr(point.one_minus_alpha) == repr(expected.one_minus_alpha)
 
 
-@settings(max_examples=400, deadline=None)
+def _near_grid_point(i: int, d: int, toward: float | None) -> float:
+    """The sweep's grid point STEPS[i] * 10**d, or the float next to it
+    toward `toward`, but at least one unit."""
+    k = STEPS[i] * float(f"1e{d}")
+    return max(1.0, k if toward is None else math.nextafter(k, toward))
+
+
+GRID_POINTS = st.builds(_near_grid_point, st.integers(0, 63), st.integers(0, 307),
+                        st.sampled_from([None, 0.0, math.inf]))
+
+
+@settings(max_examples=600, deadline=None)
 @given(p=POSITIVE, oma=st.floats(0.0, 1.0),
-       k_max=st.floats(1.0, 1e13) | st.integers(1, 10**13))
+       k_max=st.floats(1.0, 1e13) | st.integers(1, 10**13) | GRID_POINTS)
 @example(p=2**-1074, oma=1.0, k_max=1e13)
 @example(p=2**-1074, oma=0.5, k_max=3.0)
 @example(p=sys.float_info.max / 1e13, oma=2**-1074, k_max=1e13)
 @example(p=11.78e9, oma=0.0, k_max=1e13)
+@example(p=1.0, oma=1e-8, k_max=sys.float_info.max)
+@example(p=1.0, oma=1e-8, k_max=math.nextafter(STEPS[1], 0.0))
+@example(p=1.0, oma=1e-8, k_max=math.nextafter(1.0, 2.0))
+@example(p=1.0, oma=1e-8, k_max=1)
 def test_every_virtual_scale_curve_passes_the_public_constructor(p, oma, k_max):
     try:
         curve = virtual_scale(p, AlphaValue(oma), k_max)
@@ -247,6 +263,14 @@ def test_every_virtual_scale_curve_passes_the_public_constructor(p, oma, k_max):
         assert str(exc) == "the sweep's end k_max * P overflows the float range"
         return
     assert ForecastCurve(curve.source, curve.samples, curve.asymptote_flops) == curve
+    # The count perfbench's checks._sample_count expects: 64 per decade, both ends.
+    k_max = float(k_max)
+    count = 1 if k_max == 1.0 else max(2, math.ceil(math.log10(k_max) * 64) + 1)
+    assert len(curve.samples) == count
+    assert curve.samples[0] == (p, p)
+    assert curve.samples[-1][0] == k_max * p
+    for axis in (curve.r_peak, curve.r_max):
+        assert all(a <= b for a, b in zip(axis, axis[1:]))
 
 
 # ---- any record file: a report or exit 2, never a traceback -------------------------
