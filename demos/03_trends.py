@@ -39,7 +39,7 @@ print("  grows as machines get smaller, architecture aside.")
 print()
 print("Rank agreement between the two benchmarks (same machines, 2017):")
 pairs = reference_table("rank-pairs-hpl-hpcg-2017-06")
-pairing = RankPairing.from_raw([(i, a, b) for i, (a, b) in enumerate(pairs)])
+pairing = RankPairing([(i, a, b) for i, (a, b) in enumerate(pairs)])
 rho = rank_correlation(pairing)
 print(f"  Spearman rho = {rho:.4f}"
       f" -> {'weak' if is_weak_agreement(rho) else 'strong'} agreement")

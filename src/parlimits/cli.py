@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -293,6 +294,16 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
     by_benchmark = {"HPL": hpl, "HPCG": hpcg}
     for rec, point in points:
         by_benchmark[rec.benchmark][rec.year, rec.name] = (rec, point)
+    # A name that repeats under one benchmark in one list names no one machine.
+    if len(hpl) + len(hpcg) < len(points):
+        repeats = Counter((rec.benchmark, rec.year, rec.name) for rec, _ in points)
+        for (bench, year, name), count in repeats.items():
+            if count > 1:
+                del by_benchmark[bench][year, name]
+                if args.ratios or args.rank_correlation:
+                    report.warnings.append(
+                        f"name {name!r} appears {count} times under {bench} in {year}; "
+                        "left out of ratios and rank correlation")
 
     if args.fits:
         cat_points = [
@@ -369,9 +380,8 @@ def _cmd_analyze(args: argparse.Namespace, report: ReportDocument) -> None:
                 f"machines under both benchmarks come from {n_years} list years; "
                 "no rank correlation")
         elif len(both) >= 3:
-            pairing = RankPairing.from_raw(
-                (key[1], hpl[key][0].rank, hpcg[key][0].rank) for key in both
-            )
+            pairing = RankPairing(
+                [(key[1], hpl[key][0].rank, hpcg[key][0].rank) for key in both])
             rho = rank_correlation(pairing)
             report.add_table(
                 "rank agreement HPL vs HPCG",

@@ -14,6 +14,11 @@ Two exercises, both holding (1 - alpha) fixed while the machine grows:
 project_trend extrapolates a fitted historical trend of (1 - alpha)
 to a given year.
 
+ForecastCurve, TrendPoint and FeasibilityVerdict are plain records that
+check nothing: virtual_scale, project_trend and feasibility check their
+inputs and build them. A curve is nondecreasing in both axes, with r_max
+under r_peak and p_max, by construction.
+
 Every curve carries the same caveat: holding alpha constant while
 growing a machine is optimistic, since dispatch and OS costs grow with
 the unit count. Curves are ceilings, not predictions.
@@ -41,30 +46,13 @@ STEPS = tuple(float(Context(prec=40).power(10, Decimal(i) / SAMPLES_PER_DECADE))
 
 @dataclass(frozen=True)
 class ForecastCurve:
-    """A scaling sweep: (r_peak, r_max) samples under one fixed alpha.
-
-    Both coordinates are in flop/s and must be nondecreasing along the
-    sweep; r_max can never exceed r_peak nor the asymptote p_max.
-    """
+    """A scaling sweep: (r_peak, r_max) samples in flop/s under one fixed
+    alpha, as virtual_scale builds it."""
 
     source: str
     samples: tuple[tuple[float, float], ...]
     asymptote_flops: float
     caveat = CONSTANT_ALPHA_CAVEAT  # the same for every curve, so not a field
-
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError("a curve needs at least one sample")
-        slack = 1.0 + 1e-12
-        prev_peak = prev_max = 0.0
-        for r_peak, r_max in self.samples:
-            if r_peak < prev_peak or r_max < prev_max:
-                raise ValueError("curve samples must be nondecreasing in both axes")
-            if r_max > r_peak * slack:
-                raise ValueError(f"r_max {r_max!r} exceeds r_peak {r_peak!r}")
-            if r_max > self.asymptote_flops * slack:
-                raise ValueError(f"r_max {r_max!r} exceeds the asymptote")
-            prev_peak, prev_max = r_peak, r_max
 
     @property
     def r_peak(self) -> tuple[float, ...]:
@@ -99,8 +87,7 @@ def virtual_scale(per_processor_perf: float,
     if n:  # a log10 rounded up past a grid point puts only the last one past k_max
         ks[-2] = min(ks[-2], k_max)
     # The quotient can lose an ulp between neighbouring samples at large k, so
-    # r_max is a running maximum. With both axes nondecreasing and r_max under
-    # r_peak and p_max, the curve skips the per-sample walk of __post_init__.
+    # r_max is a running maximum.
     samples = []
     r_max = 0.0
     for k in ks:
@@ -109,13 +96,8 @@ def virtual_scale(per_processor_perf: float,
         if r > r_max:
             r_max = r
         samples.append((r_peak, r_max))
-    curve = object.__new__(ForecastCurve)
-    curve.__dict__.update(
-        source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
-        samples=tuple(samples),
-        asymptote_flops=p_max(p, alpha),
-    )
-    return curve
+    return ForecastCurve(source=source or f"P={p:.6g} flop/s, 1-alpha={oma:.6g}",
+                         samples=tuple(samples), asymptote_flops=p_max(p, alpha))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ Each cell is checked once, where it enters: parse_csv converts it with
 int() or float() and calls MachineRecord(...), and derive_points calls
 AmdahlPoint(...); each type has that one constructor. A record with two
 or more cores always has a point, because both constructors apply the
-same slack test to the same quotient rmax/rpeak.
+same slack test to the same quotient rmax/rpeak. A row that repeats the
+(year, benchmark, rank) of an earlier record is quarantined there too, so
+RecordSet(...) has nothing left to check.
 
 Writing uses repr() for the float columns, so a load -> write -> load
 cycle reproduces records bit for bit.
@@ -176,24 +178,15 @@ class Provenance:
 
 @dataclass(frozen=True)
 class RecordSet:
-    """Validated records plus everything that did not make it in."""
+    """Validated records plus everything that did not make it in.
+
+    A plain record that parse_csv builds: it has quarantined every row
+    that repeats a (year, benchmark, rank), so the records hold none.
+    """
 
     records: tuple[MachineRecord, ...]
     provenance: Provenance
     rejections: tuple[RejectedRow, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if len({(r.year, r.benchmark, r.rank) for r in self.records}) == len(self.records):
-            return
-        seen: set[tuple[int, str, int]] = set()
-        for rec in self.records:
-            key = (rec.year, rec.benchmark, rec.rank)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate rank {rec.rank} within year {rec.year} "
-                    f"benchmark {rec.benchmark}"
-                )
-            seen.add(key)
 
     def benchmark(self, name: str) -> tuple[MachineRecord, ...]:
         """Records of one benchmark, ordered by rank."""
@@ -303,13 +296,8 @@ def parse_csv(text: str, source: str = "<string>") -> RecordSet:
         records.append(rec)
 
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    # Every repeated (year, benchmark, rank) is quarantined above, so the set
-    # is built without RecordSet.__post_init__ walking the records again.
-    result = object.__new__(RecordSet)
-    result.__dict__.update(records=tuple(records),
-                           provenance=Provenance(source=source, sha256=digest),
-                           rejections=tuple(rejections))
-    return result
+    return RecordSet(records=tuple(records), provenance=Provenance(source=source, sha256=digest),
+                     rejections=tuple(rejections))
 
 
 def _raw_cells(header: Sequence[str], row: Sequence[str]) -> dict:

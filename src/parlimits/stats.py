@@ -6,6 +6,10 @@ Fits are ordinary least squares of log10 y on x, computed with centered
 sums. Points with y <= 0, which have no log10, are excluded and counted,
 never silently eaten. Points are sorted before summation so the result
 is exactly independent of input order.
+
+RankPairing takes two raw rankings and stores them densified to
+permutations of 1..n. RatioSummary is a plain record that
+cross_benchmark_ratio builds.
 """
 from __future__ import annotations
 
@@ -135,39 +139,19 @@ def fit_by_category(points: Iterable[tuple[str, float, float]],
 
 @dataclass(frozen=True)
 class RankPairing:
-    """The same items ranked two ways; ranks are permutations of 1..n."""
+    """The same items ranked two ways.
+
+    RankPairing(entries) takes (id, rank_a, rank_b) triples with unique ids
+    and, on each side, distinct integer ranks >= 1, e.g. list positions
+    with absentees. It stores each ranking densified to a permutation of
+    1..n, in the same order. Tied ranks are refused: this pairing has no
+    tie rule.
+    """
 
     entries: tuple[tuple[Hashable, int, int], ...]
 
     def __post_init__(self) -> None:
-        self._check_ids()
-        n = len(self.entries)
-        permutation = set(range(1, n + 1))
-        for side, ranks in (("A", self.ranks_a), ("B", self.ranks_b)):
-            if set(map(type, ranks)) <= {int} and set(ranks) == permutation:
-                continue
-            for r in ranks:
-                check_count(r, f"ranking {side} rank", 1)
-            raise ValueError(f"ranking {side} must be a permutation of 1..{n}, got {ranks}")
-
-    def _check_ids(self) -> None:
-        if len({e[0] for e in self.entries}) != len(self.entries):
-            raise ValueError("duplicate ids in rank pairing")
-
-    @property
-    def ranks_a(self) -> tuple[int, ...]:
-        return tuple(e[1] for e in self.entries)
-
-    @property
-    def ranks_b(self) -> tuple[int, ...]:
-        return tuple(e[2] for e in self.entries)
-
-    @classmethod
-    def from_raw(cls, entries: Iterable[tuple[Hashable, int, int]]) -> RankPairing:
-        """Densify two raw rankings (any distinct integers >= 1, e.g. list
-        positions with absentees) into permutations of 1..n, preserving
-        order. Tied raw ranks are refused: this pairing has no tie rule."""
-        entries = list(entries)
+        entries = tuple(self.entries)
         positions = []
         for side, column in (("A", 1), ("B", 2)):
             ranks = [e[column] for e in entries]
@@ -178,15 +162,19 @@ class RankPairing:
             if len(distinct) != len(ranks):
                 raise ValueError(f"ranking {side} contains duplicate ranks")
             positions.append({r: i for i, r in enumerate(distinct, 1)})
+        if len({e[0] for e in entries}) != len(entries):
+            raise ValueError("duplicate ids in rank pairing")
         pos_a, pos_b = positions
-        # Densified ranks are permutations of 1..n, so of __post_init__'s
-        # checks only the one of the ids is left to make.
-        pairing = object.__new__(cls)
-        pairing.__dict__["entries"] = tuple(
-            (ident, pos_a[ra], pos_b[rb]) for ident, ra, rb in entries
-        )
-        pairing._check_ids()
-        return pairing
+        object.__setattr__(self, "entries", tuple(
+            (ident, pos_a[ra], pos_b[rb]) for ident, ra, rb in entries))
+
+    @property
+    def ranks_a(self) -> tuple[int, ...]:
+        return tuple(e[1] for e in self.entries)
+
+    @property
+    def ranks_b(self) -> tuple[int, ...]:
+        return tuple(e[2] for e in self.entries)
 
     def __len__(self) -> int:
         return len(self.entries)

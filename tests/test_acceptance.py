@@ -95,7 +95,7 @@ def test_criterion_08_cross_benchmark_distance_ratio_is_two_to_three_decades():
 
 def test_criterion_09_rank_agreement_between_benchmarks_is_weak():
     table = reference_table("rank-pairs-hpl-hpcg-2017-06")
-    pairing = RankPairing.from_raw(
+    pairing = RankPairing(
         [(i, a, b) for i, (a, b) in enumerate(table)])
     rho = rank_correlation(pairing)
     assert abs(rho - 11.0 / 30.0) <= 1e-12

@@ -202,6 +202,33 @@ def test_analyze_names_the_list_year_of_each_row_when_there_are_two(tmp_path, ca
     assert [row[:2] for row in ratios["rows"]] == [["A", 2016], ["A", 2017]]
 
 
+@pytest.mark.parametrize("flags, paired", [
+    (["--ratios", "--rank-correlation"], True), (["--fits"], False)])
+def test_analyze_leaves_a_repeated_name_unpaired(flags, paired, tmp_path, capsys):
+    # Two HPL rows named Twin in one list: neither is the HPCG Twin's machine.
+    p = tmp_path / "twin.csv"
+    p.write_text(HEADER + "\n" + "".join(
+        f"{name},2017,{rank},{bench},{rmax},100.0,1000,MPP,None\n"
+        for rank, (name, bench, rmax) in enumerate([
+            ("A", "HPL", 90.0), ("Twin", "HPL", 80.0), ("Twin", "HPL", 10.0),
+            ("B", "HPL", 70.0), ("C", "HPL", 60.0), ("A", "HPCG", 2.0),
+            ("Twin", "HPCG", 1.8), ("B", "HPCG", 1.5), ("C", "HPCG", 1.0)], 1)),
+        encoding="utf-8")
+    code, out, err = run(capsys, "analyze", "--dataset", str(p), *flags, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    tables = {t["title"]: t["rows"] for t in doc["tables"]}
+    assert [row[:3] for row in tables["scaling points"] if row[0] == "Twin"] == [
+        ["Twin", "HPL", 2], ["Twin", "HPL", 3], ["Twin", "HPCG", 7]]
+    warning = ("name 'Twin' appears 2 times under HPL in 2017; "
+               "left out of ratios and rank correlation")
+    assert (warning in doc["warnings"]) == paired
+    if paired:
+        assert doc["warnings"].count(warning) == 1
+        assert [row[0] for row in tables["one_minus_alpha ratios HPCG/HPL"]] == ["A", "B", "C"]
+        assert tables["rank agreement HPL vs HPCG"][0][0] == 3
+
+
 def test_analyze_unfit_warning_counts_only_usable_points(tmp_path, capsys):
     p = tmp_path / "one_usable.csv"
     p.write_text(HEADER + "\nA,2017,1,HPL,100.0,100.0,1000,MPP,None\n"
@@ -315,6 +342,8 @@ FORECAST_GOLDEN = ["forecast", "--target", "1e18", "--per-processor-perf", "11.7
 # above it, a sub-serial row (E < 1/k), single-core rows, one row for each
 # of the benchmark's eight quarantine reasons, and numeric cells padded with
 # spaces, tabs, no-break spaces and the ASCII separators \x1c-\x1f.
+# same_names.csv repeats one name under HPL and another under HPCG in one
+# year; four other machines still pair.
 GOLDEN_REPORTS = [
     ("analyze_packaged", ANALYZE_ALL),
     ("analyze_edge", ANALYZE_ALL[:1] + ["--dataset", "edge_records.csv"] + ANALYZE_ALL[1:]),
@@ -327,6 +356,8 @@ GOLDEN_REPORTS = [
     ("analyze_lone_cr", ANALYZE_ALL[:1] + ["--dataset", "lone_cr.csv"] + ANALYZE_ALL[1:]),
     ("analyze_two_years",
      ANALYZE_ALL[:1] + ["--dataset", "two_years.csv"] + ANALYZE_ALL[1:]),
+    ("analyze_same_names",
+     ANALYZE_ALL[:1] + ["--dataset", "same_names.csv"] + ANALYZE_ALL[1:]),
 ]
 FORMAT_FLAGS = {"txt": [], "json": ["--json"]}
 

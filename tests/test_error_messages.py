@@ -21,10 +21,6 @@ def _pairing(*entries):
     return lambda: RankPairing(entries)
 
 
-def _raw_pairing(*entries):
-    return lambda: RankPairing.from_raw(entries)
-
-
 BAD_CALLS = [
     ("k is a bool", lambda: AmdahlPoint(True, 0.5), ValueError,
      "k must be an integer >= 2, got True"),
@@ -52,22 +48,20 @@ BAD_CALLS = [
     ("bad rank after a repeated one", _pairing(("x", 2, 1), ("y", 2, 2), ("z", 0, 3)),
      ValueError, "ranking A rank must be an integer >= 1, got 0"),
     ("repeated rank", _pairing(("x", 2, 1), ("y", 2, 2), ("z", 3, 3)), ValueError,
-     "ranking A must be a permutation of 1..3, got (2, 2, 3)"),
+     "ranking A contains duplicate ranks"),
     ("repeated rank on side B", _pairing(("x", 1, 3), ("y", 2, 2), ("z", 3, 3)), ValueError,
-     "ranking B must be a permutation of 1..3, got (3, 2, 3)"),
-    ("rank beyond n", _pairing(("x", 1, 1), ("y", 2, 2), ("z", 4, 3)), ValueError,
-     "ranking A must be a permutation of 1..3, got (1, 2, 4)"),
+     "ranking B contains duplicate ranks"),
     ("repeated id", _pairing(("x", 1, 1), ("x", 2, 2), ("z", 3, 3)), ValueError,
      "duplicate ids in rank pairing"),
-    ("tied raw rank", _raw_pairing(("x", 5, 1), ("y", 5, 2), ("z", 7, 3)), ValueError,
+    ("tied raw rank", _pairing(("x", 5, 1), ("y", 5, 2), ("z", 7, 3)), ValueError,
      "ranking A contains duplicate ranks"),
-    ("tied raw rank on side B", _raw_pairing(("x", 5, 1), ("y", 6, 1), ("z", 7, 3)),
+    ("tied raw rank on side B", _pairing(("x", 5, 1), ("y", 6, 1), ("z", 7, 3)),
      ValueError, "ranking B contains duplicate ranks"),
-    ("raw rank is 0", _raw_pairing(("x", 0, 1), ("y", 6, 2), ("z", 7, 3)), ValueError,
+    ("raw rank is 0", _pairing(("x", 0, 1), ("y", 6, 2), ("z", 7, 3)), ValueError,
      "ranking A rank must be an integer >= 1, got 0"),
-    ("raw rank is a bool", _raw_pairing(("x", 1, True), ("y", 6, 2), ("z", 7, 3)),
+    ("raw rank is a bool", _pairing(("x", 1, True), ("y", 6, 2), ("z", 7, 3)),
      ValueError, "ranking B rank must be an integer >= 1, got True"),
-    ("bad raw rank after a tie", _raw_pairing(("x", 5, 1), ("y", 5, 2), ("z", 1.5, 3)),
+    ("bad raw rank after a tie", _pairing(("x", 5, 1), ("y", 5, 2), ("z", 1.5, 3)),
      ValueError, "ranking A rank must be an integer >= 1, got 1.5"),
     # Checked inputs whose floor overflows: the line names both operands.
     ("floor quotient overflows", lambda: bound_start_stop(1e10, 1e-300), ValueError,

@@ -19,7 +19,6 @@ from parlimits import (
     AlphaValue,
     AmdahlPoint,
     MachineRecord,
-    RecordSet,
     SchemaError,
     available_tags,
     bundled_dataset,
@@ -186,13 +185,6 @@ def test_parse_csv_missing_columns_is_a_schema_error():
 def test_parse_csv_empty_text_is_a_schema_error():
     with pytest.raises(SchemaError):
         parse_csv("", source="unit")
-
-
-def test_duplicate_identity_rejected_at_recordset_level():
-    a, b = record(), record(name="Clone")
-    with pytest.raises(ValueError):
-        RecordSet(records=(a, b), provenance=parse_csv(
-            HEADER + "\n" + GOOD_ROW + "\n", source="unit").provenance)
 
 
 def test_parses_of_the_same_text_compare_equal():

@@ -27,7 +27,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import parlimits  # noqa: E402
 from parlimits import (  # noqa: E402
-    AlphaValue, AmdahlPoint, BoundReport, ForecastCurve, MachineRecord, RankPairing,
+    AlphaValue, AmdahlPoint, BoundReport, MachineRecord, RankPairing,
     TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification,
     bound_context_switch, bound_os_looping, bound_propagation, bound_start_stop,
     cross_benchmark_ratio, derive_points, efficiency, feasibility, fit, fit_by_category,
@@ -256,13 +256,12 @@ GRID_POINTS = st.builds(_near_grid_point, st.integers(0, 63), st.integers(0, 307
 @example(p=1.0, oma=1e-8, k_max=math.nextafter(STEPS[1], 0.0))
 @example(p=1.0, oma=1e-8, k_max=math.nextafter(1.0, 2.0))
 @example(p=1.0, oma=1e-8, k_max=1)
-def test_every_virtual_scale_curve_passes_the_public_constructor(p, oma, k_max):
+def test_every_virtual_scale_curve_is_monotone_and_dominated(p, oma, k_max):
     try:
         curve = virtual_scale(p, AlphaValue(oma), k_max)
     except ValueError as exc:
         assert str(exc) == "the sweep's end k_max * P overflows the float range"
         return
-    assert ForecastCurve(curve.source, curve.samples, curve.asymptote_flops) == curve
     # The count perfbench's checks._sample_count expects: 64 per decade, both ends.
     k_max = float(k_max)
     count = 1 if k_max == 1.0 else max(2, math.ceil(math.log10(k_max) * 64) + 1)
@@ -271,6 +270,8 @@ def test_every_virtual_scale_curve_passes_the_public_constructor(p, oma, k_max):
     assert curve.samples[-1][0] == k_max * p
     for axis in (curve.r_peak, curve.r_max):
         assert all(a <= b for a, b in zip(axis, axis[1:]))
+    assert all(r_max <= r_peak for r_peak, r_max in curve.samples)
+    assert all(r_max <= curve.asymptote_flops * (1 + 1e-12) for r_max in curve.r_max)
 
 
 # ---- any record file: a report or exit 2, never a traceback -------------------------
@@ -614,8 +615,6 @@ NUMERIC_CALLS = {
     "MachineRecord": (lambda year, rank, rmax, rpeak, cores: MachineRecord(
         "m", year, rank, "HPL", rmax, rpeak, cores, "MPP", "None"), (2017, 1, 1.0, 2.0, 100)),
     "RankPairing": (lambda a, b: RankPairing(
-        (("x", a, b), ("y", 2, 2), ("z", 3, 3))), (1, 1)),
-    "RankPairing.from_raw": (lambda a, b: RankPairing.from_raw(
         [("x", a, b), ("y", 20, 20), ("z", 30, 30)]), (1, 1)),
     "TimelineScenario": (lambda n, payload, dispatch, sw_pre: simulate(TimelineScenario(
         n, payload, dispatch, sw_pre=sw_pre)), (2, 100.0, 10.0, 5.0)),

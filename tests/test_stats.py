@@ -174,16 +174,16 @@ def test_harder_benchmark_decays_faster_down_the_ranking():
 def test_from_raw_densifies_sparse_ranks():
     table = reference_table("rank-pairs-hpl-hpcg-2017-06")
     raw = [(i, a, b) for i, (a, b) in enumerate(table)]
-    pairing = RankPairing.from_raw(raw)
+    pairing = RankPairing(raw)
     assert [a for _, a, _ in pairing.entries] == list(range(1, 10))
     assert [b for _, _, b in pairing.entries] == [4, 2, 7, 6, 5, 3, 1, 9, 8]
 
 
 def test_from_raw_rejects_duplicates():
     with pytest.raises(ValueError):
-        RankPairing.from_raw([("x", 1, 1), ("y", 1, 2), ("z", 3, 3)])
+        RankPairing([("x", 1, 1), ("y", 1, 2), ("z", 3, 3)])
     with pytest.raises(ValueError):
-        RankPairing.from_raw([("x", 1, 1), ("x", 2, 2)])
+        RankPairing([("x", 1, 1), ("x", 2, 2)])
 
 
 @pytest.mark.parametrize("rank", [True, 3.0, 0, "3"])
@@ -191,18 +191,19 @@ def test_ranks_must_be_counts(rank):
     with pytest.raises(ValueError, match="rank must be an integer >= 1"):
         RankPairing(entries=(("a", 1, 1), ("b", 2, 2), ("c", rank, 3)))
     with pytest.raises(ValueError, match="rank must be an integer >= 1"):
-        RankPairing.from_raw([("a", 10, 1), ("b", 20, 2), ("c", 30, rank)])
+        RankPairing([("a", 10, 1), ("b", 20, 2), ("c", 30, rank)])
 
 
-def test_direct_construction_requires_dense_permutations():
-    with pytest.raises(ValueError):
-        RankPairing(entries=(("a", 1, 1), ("b", 3, 2)))
-    RankPairing(entries=(("a", 1, 1), ("b", 2, 2)))
+def test_direct_construction_stores_dense_permutations():
+    pairing = RankPairing(entries=(("a", 1, 7), ("b", 3, 2)))
+    assert pairing.entries == (("a", 1, 2), ("b", 2, 1))
+    # A dense pairing is its own densified form.
+    assert RankPairing(pairing.entries) == pairing
 
 
 def test_rank_correlation_on_published_pairs_is_weak():
     table = reference_table("rank-pairs-hpl-hpcg-2017-06")
-    pairing = RankPairing.from_raw(
+    pairing = RankPairing(
         [(i, a, b) for i, (a, b) in enumerate(table)])
     rho = rank_correlation(pairing)
     assert rho == pytest.approx(0.3666666666666667, abs=1e-15)
