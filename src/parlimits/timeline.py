@@ -12,13 +12,17 @@ sw_post, access_term). All quantities are in cycles of a common clock:
     end_i   = start_i + pd_out_i + payload_i + pd_in_i
     total   = max(end_i) + suffix
 
-simulate finds max(end_i) without holding start_i or end_i for all n
-units at once: it walks the units in cache-sized blocks and carries the
-latest end from block to block. A uniform dispatch whose running sums are
-all exact (integer and dyadic cycle counts, see _sums_exactly) gives the
-starts as the product prefix + (i + 1) * dispatch; any other dispatch is
-a cumsum whose running sum is carried from block to block. Both give the
-bits of the whole-array arithmetic.
+A uniform dispatch whose running sums are all exact (integer and dyadic
+cycle counts, see _sums_exactly) gives the starts as the product
+prefix + (i + 1) * dispatch, which never falls. Under it, when pd_out,
+payload and pd_in are each uniform or largest at the last unit, as a
+linear ramp is, the last unit ends last, and simulate takes its end as
+max(end_i) without a pass over the units. Otherwise simulate finds
+max(end_i) without holding start_i or end_i for all n units at once: it
+walks the units in cache-sized blocks and carries the latest end from
+block to block, the starts being the product above or, under any other
+dispatch, a cumsum whose running sum is carried from block to block. Each
+way gives the bits of the whole-array arithmetic.
 
 The breakdown also maps every cycle of the n * total capacity rectangle
 to a category. Unit i's column holds its own dispatch slot, delays, and
@@ -94,9 +98,11 @@ def linear_ramp(n_units: int, max_value: float) -> np.ndarray:
 @dataclass(frozen=True)
 class _Parsed:
     """Per-unit values that parse_scenario has just built and holds nowhere
-    else, so TimelineScenario keeps the array without copying it."""
+    else, so TimelineScenario keeps the array without copying it. checked
+    says that they are known finite and >= 0, as a linear_ramp is."""
 
     values: np.ndarray
+    checked: bool = False
 
 
 def _same_units(a: float | np.ndarray, b: float | np.ndarray, n: int) -> bool:
@@ -141,8 +147,9 @@ class TimelineScenario:
     def _normalize(self, name: str, value: float | Sequence[float]) -> float | np.ndarray:
         if isinstance(value, Real):
             return check_number(value, name, 0)
+        checked = False
         if type(value) is _Parsed:
-            values = value.values
+            values, checked = value.values, value.checked
         else:
             try:
                 values = np.array(value, dtype=float)
@@ -152,7 +159,7 @@ class TimelineScenario:
             raise ValueError(
                 f"{name} has {values.size} entries for {self.n_units} units"
             )
-        if not (np.isfinite(values).all() and (values >= 0).all()):
+        if not (checked or np.isfinite(values).all() and (values >= 0).all()):
             raise ValueError(f"{name} entries must all be finite and >= 0")
         return _read_only(values)
 
@@ -289,15 +296,27 @@ def _starts(prefix: float, dispatch: float | np.ndarray, lo: int, hi: int,
 
 
 def _max_end(scenario: TimelineScenario) -> float:
-    """The latest end time of any unit."""
+    """The latest end time of any unit.
+
+    Under a dispatch in the exact-sum domain, start_i = prefix + (i + 1) *
+    dispatch, the form _starts takes, never falls. When each busy field is
+    also uniform or largest at its last unit, busy_i is largest there too,
+    since rounding is monotone, so the last unit, i = n - 1, ends last: its
+    end is returned without a pass over the units. Every other schedule is
+    walked in blocks.
+    """
     n, dispatch = scenario.n_units, scenario.dispatch_cycles
     exact = _sums_exactly(dispatch, n)
-    if isinstance(dispatch, float) and isinstance(_busy(scenario, 0, 1), float):
-        if exact:
-            # start_i = prefix + (i + 1) * dispatch, the form _starts takes,
-            # never falls, so neither does end_i = start_i + busy: the last
-            # unit, i = n - 1, ends last.
-            return scenario.prefix_cycles + n * dispatch + _busy(scenario, 0, n)
+    busy_fields = (scenario.pd_out_cycles, scenario.payload_cycles, scenario.pd_in_cycles)
+    if exact and all(isinstance(v, float) or v[-1] == v.max() for v in busy_fields):
+        end = scenario.prefix_cycles + n * dispatch + _busy(scenario, n - 1, n)
+        if isinstance(end, float):
+            return end
+        # An end of zero ties 0.0 and -0.0 by value, and which of them the
+        # walk reports depends on numpy's max; any other value has one form.
+        if end[0]:
+            return float(end[0])
+    elif isinstance(dispatch, float) and isinstance(_busy(scenario, 0, 1), float):
         # No per-unit array bounds n here, and the walk below takes time in
         # proportion to it: a full dispatch array refuses a unit count beyond
         # memory at once.
@@ -335,16 +354,19 @@ def simulate(scenario: TimelineScenario) -> TimingBreakdown:
     """Run the dispatch timeline and account for every capacity cycle.
 
     A uniform field whose n values sum exactly (see _sums_exactly) is
-    summed in closed form, and so is the schedule when dispatch is such a
-    field and every busy field is uniform: then the cost does not grow
-    with n_units. Any other schedule is walked in cache-sized blocks of
-    units, whose starts are the product prefix + (i + 1) * dispatch under
-    such a dispatch and a cumsum carried from block to block under any
-    other. That pass holds no temporary array of n_units entries, except
-    a full array of a uniform dispatch when every field is uniform; summing
-    a uniform field outside the exact-sum domain also builds a full array
-    of it. The results carry the bits of the full array arithmetic, and
-    1 - alpha is the exact quotient of the run's totals, rounded once.
+    summed in closed form. When dispatch is such a field and every busy
+    field is uniform or largest at its last unit, the schedule is not
+    walked: the last unit ends last (see _max_end). With every field
+    uniform the cost then does not grow with n_units; a linear ramp or an
+    explicit array costs one max and one sum over its entries. Any other
+    schedule is walked in cache-sized blocks of units, whose starts are the
+    product prefix + (i + 1) * dispatch under such a dispatch and a cumsum
+    carried from block to block under any other. That pass holds no
+    temporary array of n_units entries, except a full array of a uniform
+    dispatch when every field is uniform; summing a uniform field outside
+    the exact-sum domain also builds a full array of it. The results carry
+    the bits of the full array arithmetic, and 1 - alpha is the exact
+    quotient of the run's totals, rounded once.
     """
     n = scenario.n_units
     # Finite inputs may add up beyond the float range, which is refused below.
@@ -446,7 +468,8 @@ def parse_scenario(text: str, source: str = "<string>") -> TimelineScenario:
         try:
             if key in _PER_UNIT_FIELDS:
                 values = _parse_per_unit(value, n_units)
-                kwargs[key] = values if isinstance(values, float) else _Parsed(values)
+                kwargs[key] = values if isinstance(values, float) else _Parsed(
+                    values, checked=value.startswith("linear:"))
             else:
                 kwargs[key] = float(value)
         except ValueError as exc:

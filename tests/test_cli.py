@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import parlimits
-from parlimits import cli
+from parlimits import cli, timeline
 from parlimits.cli import main
 
 HEADER = ("name,year,rank,benchmark,rmax_gflops,rpeak_gflops,"
@@ -312,9 +312,12 @@ GOLDEN = Path(__file__).parent / "golden"
 # walked in blocks, and span several of them. The JSON reports of uniform_8,
 # uniform_1000 and ramp_200001 were re-recorded when 1 - alpha became the
 # exact quotient of the totals, rounded once; their text reports kept their
-# bytes.
+# bytes. ramp_1e6_dyadic and peak_last, whose explicit payload rises and
+# falls but is largest at the last unit, were walked when they were recorded;
+# now the last unit's end is taken without a walk.
 @pytest.mark.parametrize("name", ["three_units", "ramp_1000", "uniform_8", "uniform_1000",
-                                  "uniform_1e12", "ramp_200001", "ramp_1e6_dyadic"])
+                                  "uniform_1e12", "ramp_200001", "ramp_1e6_dyadic",
+                                  "peak_last"])
 @pytest.mark.parametrize("fmt", ["txt", "json"])
 def test_simulate_report_matches_golden_bytes(name, fmt, capsys, monkeypatch):
     # The golden reports name the scenario by its relative path.
@@ -323,6 +326,20 @@ def test_simulate_report_matches_golden_bytes(name, fmt, capsys, monkeypatch):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+
+def test_last_unit_of_a_ramp_under_a_dyadic_dispatch_ends_last_without_a_walk(
+        capsys, monkeypatch):
+    # Every busy field of ramp_1e6_dyadic is uniform or a ramp, so its largest
+    # value is the last unit's, and every dispatch sum is exact.
+    def walk(*args):
+        raise AssertionError("the schedule of ramp_1e6_dyadic was walked")
+
+    monkeypatch.setattr(timeline, "_starts", walk)
+    monkeypatch.chdir(GOLDEN)
+    code, out, err = run(capsys, "simulate", "ramp_1e6_dyadic.scn", "--json")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "ramp_1e6_dyadic.json").read_bytes()
 
 
 ANALYZE_ALL = ["analyze", "--fits", "--ratios", "--rank-correlation"]

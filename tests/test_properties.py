@@ -31,7 +31,7 @@ from parlimits import (  # noqa: E402
     TimelineScenario, alpha_eff_from_efficiency, alpha_eff_from_speedup, amplification,
     bound_context_switch, bound_os_looping, bound_propagation, bound_start_stop,
     cross_benchmark_ratio, derive_points, efficiency, feasibility, fit, fit_by_category,
-    is_weak_agreement, linear_ramp, load_scenario, mpe_grouping_effect, p_max, parse_csv,
+    is_weak_agreement, linear_ramp, mpe_grouping_effect, p_max, parse_csv,
     project_trend, required_one_minus_alpha, simulate, speedup, virtual_scale,
 )
 from parlimits.cli import ReportDocument, main  # noqa: E402
@@ -431,9 +431,11 @@ SCHEDULE_UNITS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, _MANY]
 
 @st.composite
 def per_unit_values(draw, n: int):
-    """A uniform value (dyadic, non-dyadic, any or subnormal), a linear ramp
-    or an explicit array of unequal values."""
-    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "any", "subnormal", "ramp", "array"]))
+    """A uniform value (dyadic, non-dyadic, any or subnormal), a linear ramp,
+    an explicit array of unequal values, or one that rises and falls but is
+    largest at its last entry, which may tie an earlier one."""
+    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "any", "subnormal", "ramp", "array",
+                                 "peak-last"]))
     if kind == "dyadic":
         return math.ldexp(draw(st.integers(0, 10**6)), -draw(st.integers(0, 10)))
     if kind == "non-dyadic":
@@ -445,7 +447,10 @@ def per_unit_values(draw, n: int):
     if kind == "ramp":
         return linear_ramp(n, draw(st.sampled_from([2e6, 1e308]) | st.floats(0, 1e6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return rng.random(n) * draw(st.sampled_from([1e-320, 0.1, 1e6, 1e300]))
+    values = rng.random(n) * draw(st.sampled_from([1e-320, 0.1, 1e6, 1e300]))
+    if kind == "peak-last":
+        values[-1] = values.max() * draw(st.sampled_from([1.0, 1.5]))
+    return values
 
 
 @st.composite
@@ -501,6 +506,19 @@ def _schedule_bits(max_end, total, payload, arrays) -> tuple:
 @example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), math.ldexp(3, -1074), 120.0))
 @example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 1500.0), 0.0, 40.0, sw_pre=3e3))
 @example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), 5.0, os_pre=2.5))
+# A dyadic dispatch with one busy field largest at the last unit and another
+# largest at the first: the last unit does not end last, and the units are walked.
+@example(scenario=TimelineScenario(_MANY, linear_ramp(_MANY, 2e6), 1.25,
+                                   linear_ramp(_MANY, 3e6)[::-1], 40.0))
+# Ramps whose first product overflows, under a dyadic dispatch: the last
+# unit's busy time overflows too.
+@example(scenario=TimelineScenario(_MANY, 1.0, 0.5, linear_ramp(_MANY, 1e308),
+                                   linear_ramp(_MANY, 1e308)))
+# Signed zeros in every field and the prefix, with a positive suffix: every
+# unit ends at -0.0.
+@example(scenario=TimelineScenario(_MANY, np.full(_MANY, -0.0), -0.0, linear_ramp(_MANY, -0.0),
+                                   -0.0, access_init=-0.0, sw_pre=-0.0, os_pre=-0.0,
+                                   os_post=2.5))
 def test_blocked_schedule_matches_the_full_array_formulas(scenario):
     n = scenario.n_units
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf in an overflowing run
@@ -537,9 +555,11 @@ def test_exact_sum_dispatch_is_scheduled_without_a_scan(monkeypatch):
 
 def test_simulating_a_million_unit_ramp_holds_no_full_array():
     # Starts, busy and end times of all units at once would take 16 MB;
-    # those of one block of units take about 1 MB.
-    scenario = load_scenario(os.path.join(os.path.dirname(__file__), "golden",
-                                          "ramp_1e6_dyadic.scn"))
+    # those of one block of units take about 1 MB. The ramp falls, so the
+    # last unit need not end last and the units are walked.
+    n = 10**6
+    scenario = TimelineScenario(n, 3e6, 1.25, linear_ramp(n, 1500.0)[::-1], 40.0,
+                                access_init=700.0, sw_pre=3e3)
     tracemalloc.start()
     try:
         simulate(scenario)

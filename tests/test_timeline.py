@@ -333,7 +333,9 @@ def test_explicit_list_parses_without_copying_its_text():
 
 
 def test_parsed_ramp_is_kept_without_a_copy():
-    # A copy of the parser's own 8 MB ramp would double the peak.
+    # A copy of the parser's own 8 MB ramp would double the peak. linear_ramp
+    # checked its maximum, so no 1 MB boolean mask of a finite-and->=-0
+    # check over the entries is built either.
     text = "n_units = 1000000\npayload_cycles = linear:2e6\ndispatch_cycles = 1\n"
     tracemalloc.start()
     try:
@@ -342,7 +344,21 @@ def test_parsed_ramp_is_kept_without_a_copy():
     finally:
         tracemalloc.stop()
     assert sc.payload_cycles.tobytes() == linear_ramp(10**6, 2e6).tobytes()
-    assert peak <= 1.25 * sc.payload_cycles.nbytes
+    assert peak < sc.payload_cycles.nbytes + 500_000
+
+
+@pytest.mark.parametrize("value, message", [
+    ("1, inf, 2", "<string>: pd_out_cycles entries must all be finite and >= 0"),
+    ("1, nan, 2", "<string>: pd_out_cycles entries must all be finite and >= 0"),
+    ("1, -1, 2", "<string>: pd_out_cycles entries must all be finite and >= 0"),
+    ("linear:inf", "<string>:2: pd_out_cycles: max_value must be a finite number >= 0, got inf"),
+    ("linear:-1", "<string>:2: pd_out_cycles: max_value must be a finite number >= 0, got -1.0"),
+])
+def test_parsed_entries_out_of_range_are_refused(value, message):
+    # An explicit list is checked entry by entry; a ramp by its maximum.
+    with pytest.raises(ValueError) as info:
+        parse_scenario(f"n_units = 3\npd_out_cycles = {value}\n")
+    assert str(info.value) == message
 
 
 def test_arrays_beyond_memory_are_a_one_line_value_error():
@@ -368,6 +384,19 @@ def test_uniform_schedule_beyond_memory_is_refused_whatever_sums_the_fields(monk
     n = 2**56
     with pytest.raises(ValueError, match=f"^n_units = {n} needs per-unit arrays"):
         simulate(TimelineScenario(n_units=n, payload_cycles=1.0, dispatch_cycles=0.1))
+
+
+def test_a_zero_last_end_is_reported_as_the_walk_reports_it():
+    # Every unit ends at -0.0 but the last, at 0.0; the two tie by value. A
+    # uniform dispatch of -0.0 would take the last unit's end, an explicit
+    # one walks the units: both report the zero the walk finds.
+    n = 1001
+    payload = np.full(n, -0.0)
+    payload[-1] = 0.0
+    serial = dict(access_init=-0.0, sw_pre=-0.0, os_pre=-0.0, os_post=1.0)
+    ends = [simulate(TimelineScenario(n, payload, dispatch, -0.0, -0.0, **serial)).max_end_cycles
+            for dispatch in (-0.0, np.full(n, -0.0))]
+    assert repr(ends[0]) == repr(ends[1])
 
 
 # ---- invariances --------------------------------------------------------------
